@@ -1,9 +1,9 @@
 """Memory-bounded per-class prototype stores for rehearsal.
 
-Every class gets its own buffer of capacity b. While a buffer is below
-capacity an incoming sample is copied in verbatim with count 1 (CluStream
-instead stages raw points until it can initialize its micro-clusters).
-Once full, each strategy decides how to compress:
+Every class gets its own buffer of capacity b. The vector strategies share
+one slot store: per-class arrays of vectors and counts, filled by copying
+each incoming sample in with count 1 while a slot is free. Once full, each
+strategy decides how to compress:
 
 * exstream        merge the two closest prototypes count-weighted, then
                   store the new point in the freed slot
@@ -11,7 +11,7 @@ Once full, each strategy decides how to compress:
                   mean and bump that prototype's count
 * clustream       micro-clusters (n, linear/squared sums, timestamp sums)
                   with an absorb boundary, horizon-based eviction and
-                  closest-pair merging
+                  closest-pair merging, seeded from a staging store
 * hpstream        exponentially faded projected clusters with per-cluster
                   dimension bit vectors
 * reservoir       classic reservoir sampling (replace with prob b/M)
@@ -26,7 +26,7 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,7 +68,92 @@ class HPStreamParams:
             raise UsageError("projected_dims must be at least 1")
 
 
-class ExStreamBuffer:
+# Cluster-feature formulas; each takes stacked rows or a single row.
+def _centroid(mass, linear):
+    return linear / np.asarray(mass, dtype=np.float64)[..., None]
+
+
+def _rms_radius(n, linear, squared):
+    # root of the summed per-dimension variance, clamped at zero
+    n = np.asarray(n, dtype=np.float64)[..., None]
+    var = squared / n - (linear / n) ** 2
+    return np.sqrt(np.maximum(var, 0.0).sum(axis=-1))
+
+
+def _relevance_stamp(n, timestamp_sum, timestamp_sq_sum, factor):
+    mean = timestamp_sum / n
+    var = np.maximum(timestamp_sq_sum / n - mean * mean, 0.0)
+    return mean + factor * np.sqrt(var)
+
+
+def _fade(gaps, decay_rate):
+    return np.where(gaps > 0, 2.0 ** (-decay_rate * gaps), 1.0)
+
+
+def _radii(weight, squared, centroid):
+    # per-dimension spread; weight <= 1 means radius 0 everywhere
+    w = np.asarray(weight, dtype=np.float64)[..., None]
+    var = squared / w - centroid * centroid
+    return np.where(w <= 1.0, 0.0, np.sqrt(np.maximum(var, 0.0)))
+
+
+@lru_cache(maxsize=16)
+def _upper_pairs(k):
+    return np.triu_indices(k, 1)
+
+
+def _closest_pair(v):
+    """Rows (i, j), i < j, at the smallest squared distance; ties go to
+    the lexicographically lowest pair."""
+    sq = np.einsum("ij,ij->i", v, v)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (v @ v.T)
+    iu, ju = _upper_pairs(len(v))
+    k = int(np.argmin(d2[iu, ju]))  # first minimum = lexicographically lowest (i, j)
+    return int(iu[k]), int(ju[k])
+
+
+class SlotStore:
+    """At most ``capacity`` vectors with integer counts.
+
+    The (capacity, d) vector array is allocated on the first insert, once
+    d is known. While a slot is free an insert copies the sample in with
+    count 1; an insert into a full store goes to ``overflow``, the one rule
+    each strategy supplies. ``vectors`` and ``counts`` are views of the
+    filled rows.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise UsageError("capacity must be at least 1")
+        self.capacity = capacity
+        self.size = 0
+        self._vecs = np.zeros((capacity, 0))
+        self._counts = np.zeros(capacity, dtype=np.int64)
+
+    def insert(self, x, t=None):
+        if self._vecs.size == 0:
+            self._vecs = np.zeros((self.capacity, x.shape[0]))
+        if self.size == self.capacity:
+            self.overflow(x)
+            return
+        self._vecs[self.size] = x
+        self._counts[self.size] = 1
+        self.size += 1
+
+    def overflow(self, x):
+        raise UsageError(f"store of {self.capacity} slots is full")
+
+    def vectors(self):
+        return self._vecs[: self.size]
+
+    def counts(self):
+        return self._counts[: self.size]
+
+    def memory_units(self):
+        return self.size
+
+
+class ExStreamBuffer(SlotStore):
     """Bounded store that merges the two closest prototypes on overflow.
 
     The merge is count-weighted, (c_i w_i + c_j w_j) / (c_i + c_j) with
@@ -79,95 +164,72 @@ class ExStreamBuffer:
     def __init__(self, capacity: int):
         if capacity < 2:
             raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
-        self.capacity = capacity
-        self.size = 0
-        self._vecs: np.ndarray | None = None
-        self._counts: np.ndarray | None = None
-        self._triu = None
+        super().__init__(capacity)
 
-    def insert(self, x, t=None):
-        if self._vecs is None:
-            self._vecs = np.zeros((self.capacity, x.shape[0]))
-            self._counts = np.zeros(self.capacity, dtype=np.int64)
-        if self.size < self.capacity:
-            self._vecs[self.size] = x
-            self._counts[self.size] = 1
-            self.size += 1
-            return
-        v = self._vecs
-        sq = np.einsum("ij,ij->i", v, v)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (v @ v.T)
-        if self._triu is None:
-            self._triu = np.triu_indices(self.capacity, 1)
-        iu, ju = self._triu
-        k = int(np.argmin(d2[iu, ju]))  # first minimum = lexicographically lowest (i, j)
-        i, j = int(iu[k]), int(ju[k])
-        ci, cj = self._counts[i], self._counts[j]
+    def overflow(self, x):
+        v, c = self._vecs, self._counts
+        i, j = _closest_pair(v)
+        ci, cj = c[i], c[j]
         v[i] = (ci * v[i] + cj * v[j]) / (ci + cj)
-        self._counts[i] = ci + cj
+        c[i] = ci + cj
         v[j] = x
-        self._counts[j] = 1
-
-    def vectors(self):
-        if self._vecs is None:
-            return np.zeros((0, 0))
-        return self._vecs[: self.size]
-
-    def counts(self):
-        if self._counts is None:
-            return np.zeros(0, dtype=np.int64)
-        return self._counts[: self.size]
-
-    def memory_units(self):
-        return self.size
+        c[j] = 1
 
 
-class OnlineKMeansBuffer:
+class OnlineKMeansBuffer(SlotStore):
     """Bounded store of running means; the nearest prototype absorbs each
     new point, w_i <- (c_i w_i + x) / (c_i + 1)."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise UsageError("capacity must be at least 1")
-        self.capacity = capacity
-        self.size = 0
-        self._vecs: np.ndarray | None = None
-        self._counts: np.ndarray | None = None
-
-    def insert(self, x, t=None):
-        if self._vecs is None:
-            self._vecs = np.zeros((self.capacity, x.shape[0]))
-            self._counts = np.zeros(self.capacity, dtype=np.int64)
-        if self.size < self.capacity:
-            self._vecs[self.size] = x
-            self._counts[self.size] = 1
-            self.size += 1
-            return
-        v = self._vecs[: self.size]
-        d2 = ((v - x) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        c = self._counts[i]
-        self._vecs[i] = (c * self._vecs[i] + x) / (c + 1)
-        self._counts[i] = c + 1
-
-    def vectors(self):
-        if self._vecs is None:
-            return np.zeros((0, 0))
-        return self._vecs[: self.size]
-
-    def counts(self):
-        if self._counts is None:
-            return np.zeros(0, dtype=np.int64)
-        return self._counts[: self.size]
-
-    def memory_units(self):
-        return self.size
+    def overflow(self, x):
+        v, c = self._vecs, self._counts
+        i = int(np.argmin(((v - x) ** 2).sum(axis=1)))
+        ci = c[i]
+        v[i] = (ci * v[i] + x) / (ci + 1)
+        c[i] = ci + 1
 
 
-@dataclass
+class ReservoirBuffer(SlotStore):
+    """Uniform sample of the stream: the m-th point replaces a uniformly
+    chosen slot with probability b/m once the buffer is full."""
+
+    def __init__(self, capacity: int, rng: np.random.Generator):
+        super().__init__(capacity)
+        self.rng = rng
+        self._overflows = 0
+
+    def overflow(self, x):
+        self._overflows += 1
+        j = int(self.rng.integers(self.capacity + self._overflows))  # m inserts so far
+        if j < self.capacity:
+            self._vecs[j] = x
+
+
+class QueueBuffer(SlotStore):
+    """FIFO of the most recent b samples, oldest first."""
+
+    def overflow(self, x):
+        self._vecs[:-1] = self._vecs[1:]
+        self._vecs[-1] = x
+
+
+class FullBuffer(SlotStore):
+    """Unbounded store of every sample, for the full-rehearsal baseline.
+    Its arrays double in size whenever they fill."""
+
+    def __init__(self):
+        super().__init__(16)
+
+    def overflow(self, x):
+        self.capacity *= 2
+        self._vecs = np.concatenate([self._vecs, np.zeros_like(self._vecs)])
+        self._counts = np.concatenate([self._counts, np.zeros_like(self._counts)])
+        self.insert(x)
+
+
+@dataclass(frozen=True)
 class MicroCluster:
-    """CluStream cluster feature vector: count, linear and squared sums,
-    and first/second timestamp moments."""
+    """Read-only snapshot of a CluStream cluster feature vector: count,
+    linear and squared sums, and first/second timestamp moments."""
 
     n: int
     linear_sum: np.ndarray
@@ -175,48 +237,30 @@ class MicroCluster:
     timestamp_sum: float
     timestamp_sq_sum: float
 
-    @classmethod
-    def from_point(cls, x, t):
-        return cls(1, x.copy(), x * x, float(t), float(t) ** 2)
-
     def centroid(self):
-        return self.linear_sum / self.n
-
-    def absorb(self, x, t):
-        self.n += 1
-        self.linear_sum += x
-        self.squared_sum += x * x
-        self.timestamp_sum += t
-        self.timestamp_sq_sum += t * t
-
-    def merge(self, other: "MicroCluster"):
-        self.n += other.n
-        self.linear_sum += other.linear_sum
-        self.squared_sum += other.squared_sum
-        self.timestamp_sum += other.timestamp_sum
-        self.timestamp_sq_sum += other.timestamp_sq_sum
+        return _centroid(self.n, self.linear_sum)
 
     def rms_radius(self):
-        # root of the summed per-dimension variance, clamped at zero
-        var = self.squared_sum / self.n - (self.linear_sum / self.n) ** 2
-        return float(np.sqrt(np.maximum(var, 0.0).sum()))
+        return float(_rms_radius(self.n, self.linear_sum, self.squared_sum))
 
     def relevance_stamp(self, factor):
-        mean = self.timestamp_sum / self.n
-        var = max(self.timestamp_sq_sum / self.n - mean * mean, 0.0)
-        return mean + factor * np.sqrt(var)
+        return _relevance_stamp(self.n, self.timestamp_sum, self.timestamp_sq_sum, factor)
 
 
 class CluStreamBuffer:
     """Micro-cluster store seeded by k-means over a staging pool.
 
-    Raw points are staged until init_multiplier * b arrive, then Lloyd's
-    algorithm (seeded k-means++ start) builds exactly b micro-clusters.
-    A new point joins its nearest cluster when within boundary_factor
-    times the cluster RMS deviation (singletons use the distance to the
-    nearest other centroid); otherwise it opens a new cluster and the
-    structure sheds one cluster, either by evicting a cluster whose
-    relevance stamp fell out of the horizon or by merging the closest pair.
+    Raw points are staged in a slot store until init_multiplier * b
+    arrive, then Lloyd's algorithm (seeded k-means++ start) builds exactly
+    b micro-clusters. A new point joins its nearest cluster when within
+    boundary_factor times the cluster RMS deviation (singletons use the
+    distance to the nearest other centroid); otherwise it opens a new
+    cluster and the structure sheds one cluster, either by evicting a
+    cluster whose relevance stamp fell out of the horizon or by merging the
+    closest pair. Dropping a cluster keeps the others in order.
+
+    The cluster features live in stacked arrays with one spare row, where
+    a new cluster waits until one is shed.
     """
 
     def __init__(self, capacity: int, params: CluStreamParams, rng: np.random.Generator):
@@ -225,89 +269,104 @@ class CluStreamBuffer:
         self.capacity = capacity
         self.params = params
         self.rng = rng
-        self.staging: list[tuple[np.ndarray, float]] = []
-        self.clusters: list[MicroCluster] | None = None
+        self.staging: SlotStore | None = SlotStore(params.init_multiplier * capacity)
+        self._staged_t = np.zeros(self.staging.capacity)
+        self._n: np.ndarray | None = None
 
     @property
     def initialized(self):
-        return self.clusters is not None
+        return self._n is not None
 
     def insert(self, x, t):
-        if self.clusters is None:
-            self.staging.append((x.copy(), float(t)))
-            if len(self.staging) >= self.params.init_multiplier * self.capacity:
+        if self._n is None:
+            self._staged_t[self.staging.size] = t
+            self.staging.insert(x)
+            if self.staging.size == self.staging.capacity:
                 self._initialize()
             return
         self._stream_insert(x, float(t))
 
     def _initialize(self):
-        points = np.stack([p for p, _ in self.staging])
-        times = np.array([t for _, t in self.staging])
+        points, times = self.staging.vectors(), self._staged_t
         labels = kmeans_lloyd(points, self.capacity, self.rng)[1]
-        clusters = []
+        rows, dim = self.capacity + 1, points.shape[1]
+        self._n = np.zeros(rows, dtype=np.int64)
+        self._linear = np.zeros((rows, dim))
+        self._squared = np.zeros((rows, dim))
+        self._t_sum = np.zeros(rows)
+        self._t_sq_sum = np.zeros(rows)
         for j in range(self.capacity):
             members = np.flatnonzero(labels == j)
             pts = points[members]
-            clusters.append(MicroCluster(
-                n=len(members),
-                linear_sum=pts.sum(axis=0),
-                squared_sum=(pts * pts).sum(axis=0),
-                timestamp_sum=float(times[members].sum()),
-                timestamp_sq_sum=float((times[members] ** 2).sum()),
-            ))
-        self.clusters = clusters
-        self.staging = []
+            self._n[j] = len(members)
+            self._linear[j] = pts.sum(axis=0)
+            self._squared[j] = (pts * pts).sum(axis=0)
+            self._t_sum[j] = times[members].sum()
+            self._t_sq_sum[j] = (times[members] ** 2).sum()
+        self.staging = self._staged_t = None
+
+    def _features(self):
+        return self._n, self._linear, self._squared, self._t_sum, self._t_sq_sum
 
     def _stream_insert(self, x, t):
-        clusters = self.clusters
-        cents = np.stack([c.centroid() for c in clusters])
+        k, params = self.capacity, self.params
+        n, linear, squared, t_sum, t_sq_sum = self._features()
+        cents = _centroid(n[:k], linear[:k])
         d2 = ((cents - x) ** 2).sum(axis=1)
         near = int(np.argmin(d2))
         dist = float(np.sqrt(d2[near]))
-        if clusters[near].n >= 2:
-            boundary = self.params.boundary_factor * clusters[near].rms_radius()
-        elif len(clusters) > 1:
+        if n[near] >= 2:
+            boundary = params.boundary_factor * _rms_radius(n[near], linear[near], squared[near])
+        elif k > 1:
             others = ((cents - cents[near]) ** 2).sum(axis=1)
             others[near] = np.inf
             boundary = float(np.sqrt(others.min()))
         else:
             boundary = np.inf
         if dist <= boundary:
-            clusters[near].absorb(x, t)
+            n[near] += 1
+            linear[near] += x
+            squared[near] += x * x
+            t_sum[near] += t
+            t_sq_sum[near] += t * t
             return
-        clusters.append(MicroCluster.from_point(x, t))
-        threshold = t - self.params.horizon
-        stamps = [c.relevance_stamp(self.params.boundary_factor) for c in clusters[:-1]]
-        stale = [i for i, s in enumerate(stamps) if s < threshold]
-        if stale:
-            victim = min(stale, key=lambda i: (stamps[i], i))
-            del clusters[victim]
+        n[k], linear[k], squared[k], t_sum[k], t_sq_sum[k] = 1, x, x * x, t, t ** 2
+        stamps = _relevance_stamp(n[:k], t_sum[:k], t_sq_sum[:k], params.boundary_factor)
+        victim = int(np.argmin(stamps))
+        if stamps[victim] < t - params.horizon:
+            self._drop(victim)
             return
         # merge the closest pair (the fresh singleton is a candidate too)
-        cents = np.stack([c.centroid() for c in clusters])
-        sq = np.einsum("ij,ij->i", cents, cents)
-        pair_d2 = sq[:, None] + sq[None, :] - 2.0 * (cents @ cents.T)
-        iu, ju = np.triu_indices(len(clusters), 1)
-        k = int(np.argmin(pair_d2[iu, ju]))
-        i, j = int(iu[k]), int(ju[k])
-        clusters[i].merge(clusters[j])
-        del clusters[j]
+        i, j = _closest_pair(_centroid(n, linear))
+        for feature in self._features():
+            feature[i] += feature[j]
+        self._drop(j)
+
+    def _drop(self, j):
+        k = self.capacity
+        for feature in self._features():
+            feature[j:k] = feature[j + 1:k + 1]
+
+    @property
+    def clusters(self) -> list[MicroCluster]:
+        """Current micro-clusters as snapshots (empty while staging)."""
+        if self._n is None:
+            return []
+        return [MicroCluster(int(self._n[i]), self._linear[i].copy(), self._squared[i].copy(),
+                             float(self._t_sum[i]), float(self._t_sq_sum[i]))
+                for i in range(self.capacity)]
 
     def vectors(self):
-        if self.clusters is None:
-            if not self.staging:
-                return np.zeros((0, 0))
-            return np.stack([p for p, _ in self.staging])
-        return np.stack([c.centroid() for c in self.clusters])
+        if self._n is None:
+            return self.staging.vectors()
+        return _centroid(self._n[: self.capacity], self._linear[: self.capacity])
 
     def memory_units(self):
-        if self.clusters is None:
-            return len(self.staging)
-        return 2 * len(self.clusters)
+        return self.staging.size if self._n is None else 2 * self.capacity
 
     @property
     def size(self):
-        return len(self.staging) if self.clusters is None else len(self.clusters)
+        return self.staging.size if self._n is None else self.capacity
 
 
 def kmeans_lloyd(points, k, rng, max_iter: int = 100, tol: float = 1e-6):
@@ -325,19 +384,19 @@ def kmeans_lloyd(points, k, rng, max_iter: int = 100, tol: float = 1e-6):
     labels = _assign(points, centers)
     for _ in range(max_iter):
         new_centers = centers.copy()
-        taken = set()
+        empty = []
         for j in range(k):
             members = np.flatnonzero(labels == j)
             if len(members):
                 new_centers[j] = points[members].mean(axis=0)
-        # re-seed empties from the farthest point, one point per empty cluster
-        for j in range(k):
-            if not np.flatnonzero(labels == j).size:
-                dists = ((points - new_centers[labels]) ** 2).sum(axis=1)
-                for idx in taken:
-                    dists[idx] = -np.inf
+            else:
+                empty.append(j)
+        # re-seed empties from the farthest points, one point per empty cluster
+        if empty:
+            dists = ((points - new_centers[labels]) ** 2).sum(axis=1)
+            for j in empty:
                 far = int(np.argmax(dists))
-                taken.add(far)
+                dists[far] = -np.inf
                 new_centers[j] = points[far]
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
@@ -381,47 +440,24 @@ def _kmeans_pp(points, k, rng):
     return centers
 
 
-@dataclass
+@dataclass(frozen=True)
 class FadedCluster:
-    """HPStream cluster: exponentially faded weight and sums, the last
-    absorb time (drives replacement), an internal last-fade time, and the
-    current projected-dimension bit vector."""
+    """Read-only snapshot of an HPStream cluster: faded weight and sums,
+    the last absorb time (drives replacement), the last fade time, and the
+    projected-dimension bit vector."""
 
     weight: float
     linear_sum: np.ndarray
     squared_sum: np.ndarray
     last_update: float
     last_fade: float
-    bits: np.ndarray | None = None
-
-    @classmethod
-    def from_point(cls, x, t):
-        return cls(1.0, x.copy(), x * x, float(t), float(t))
-
-    def fade_to(self, t, decay_rate):
-        gap = t - self.last_fade
-        if gap > 0 and decay_rate > 0:
-            f = 2.0 ** (-decay_rate * gap)
-            self.weight *= f
-            self.linear_sum *= f
-            self.squared_sum *= f
-        self.last_fade = t
+    bits: np.ndarray
 
     def centroid(self):
-        return self.linear_sum / self.weight
+        return _centroid(self.weight, self.linear_sum)
 
     def radii(self):
-        if self.weight <= 1.0:
-            return np.zeros_like(self.linear_sum)
-        mean = self.linear_sum / self.weight
-        var = self.squared_sum / self.weight - mean * mean
-        return np.sqrt(np.maximum(var, 0.0))
-
-    def absorb(self, x, t):
-        self.weight += 1.0
-        self.linear_sum += x
-        self.squared_sum += x * x
-        self.last_update = t
+        return _radii(self.weight, self.squared_sum, self.centroid())
 
 
 def assign_projected_dims(radii: np.ndarray, dims_per_cluster: int) -> np.ndarray:
@@ -435,16 +471,13 @@ def assign_projected_dims(radii: np.ndarray, dims_per_cluster: int) -> np.ndarra
     k, d = radii.shape
     if not 1 <= dims_per_cluster <= d:
         raise UsageError(f"projected_dims must be in [1, {d}], got {dims_per_cluster}")
-    budget = min(k * dims_per_cluster, k * d)
-    rows = np.repeat(np.arange(k), d)
-    cols = np.tile(np.arange(d), k)
-    order = np.lexsort((cols, rows, radii.ravel()))
-    bits = np.zeros((k, d), dtype=bool)
-    chosen = order[:budget]
-    bits[rows[chosen], cols[chosen]] = True
-    for i in range(k):
-        if not bits[i].any():
-            bits[i, int(np.argmin(radii[i]))] = True
+    # a stable sort of the flat radii keeps (cluster, dim) order among ties
+    order = np.argsort(radii.ravel(), kind="stable")
+    bits = np.zeros(k * d, dtype=bool)
+    bits[order[: k * dims_per_cluster]] = True
+    bits = bits.reshape(k, d)
+    empty = np.flatnonzero(~bits.any(axis=1))
+    bits[empty, np.argmin(radii[empty], axis=1)] = True
     return bits
 
 
@@ -460,8 +493,7 @@ class HPStreamBuffer:
     cluster. Stream time is the sample index divided by speed.
 
     Cluster statistics live in stacked arrays so the whole update is a
-    handful of vectorized operations; the per-cluster arithmetic is the
-    same as FadedCluster's, which stays the reference implementation.
+    handful of vectorized operations.
     """
 
     def __init__(self, capacity: int, params: HPStreamParams, dim: int):
@@ -472,7 +504,7 @@ class HPStreamBuffer:
         self.dims = params.projected_dims if params.projected_dims is not None else max(1, dim // 2)
         if self.dims > dim:
             raise UsageError(f"projected_dims {self.dims} exceeds feature dimension {dim}")
-        self._n = 0
+        self.size = 0
         self._weight = np.zeros(capacity)
         self._linear = np.zeros((capacity, dim))
         self._squared = np.zeros((capacity, dim))
@@ -480,29 +512,28 @@ class HPStreamBuffer:
         self._last_fade = np.zeros(capacity)
         self._bits = np.zeros((capacity, dim), dtype=bool)
 
+    def _seed(self, i, x, t):
+        self._weight[i] = 1.0
+        self._linear[i] = x
+        self._squared[i] = x * x
+        self._last_update[i] = t
+        self._last_fade[i] = t
+        self._bits[i] = False
+
     def insert(self, x, t_sample):
         t = float(t_sample) / self.params.speed
-        if self._n < self.capacity:
-            i = self._n
-            self._weight[i] = 1.0
-            self._linear[i] = x
-            self._squared[i] = x * x
-            self._last_update[i] = t
-            self._last_fade[i] = t
-            self._n += 1
+        if self.size < self.capacity:
+            self._seed(self.size, x, t)
+            self.size += 1
             return
-        gaps = t - self._last_fade
         if self.params.decay_rate > 0:
-            factor = np.where(gaps > 0, 2.0 ** (-self.params.decay_rate * gaps), 1.0)
+            factor = _fade(t - self._last_fade, self.params.decay_rate)
             self._weight *= factor
             self._linear *= factor[:, None]
             self._squared *= factor[:, None]
         self._last_fade[:] = t
-        w = self._weight[:, None]
-        means = self._linear / w
-        var = self._squared / w - means * means
-        radii = np.sqrt(np.maximum(var, 0.0))
-        radii[self._weight <= 1.0] = 0.0
+        means = _centroid(self._weight, self._linear)
+        radii = _radii(self._weight, self._squared, means)
         bits = assign_projected_dims(radii, self.dims)
         self._bits = bits
         d2 = (x - means) ** 2
@@ -515,114 +546,23 @@ class HPStreamBuffer:
             self._squared[near] += x * x
             self._last_update[near] = t
         else:
-            victim = int(np.argmin(self._last_update))
-            self._weight[victim] = 1.0
-            self._linear[victim] = x
-            self._squared[victim] = x * x
-            self._last_update[victim] = t
-            self._last_fade[victim] = t
-            self._bits[victim] = False
+            self._seed(int(np.argmin(self._last_update)), x, t)
 
     @property
     def clusters(self) -> list[FadedCluster]:
-        """Current clusters materialized as FadedCluster snapshots."""
+        """Current clusters as snapshots."""
         return [FadedCluster(float(self._weight[i]), self._linear[i].copy(),
                              self._squared[i].copy(), float(self._last_update[i]),
                              float(self._last_fade[i]), self._bits[i].copy())
-                for i in range(self._n)]
+                for i in range(self.size)]
 
     def vectors(self):
-        if self._n == 0:
+        if self.size == 0:
             return np.zeros((0, 0))
-        return self._linear[: self._n] / self._weight[: self._n, None]
+        return _centroid(self._weight[: self.size], self._linear[: self.size])
 
     def memory_units(self):
-        return 2 * self._n
-
-    @property
-    def size(self):
-        return self._n
-
-
-class ReservoirBuffer:
-    """Uniform sample of the stream: the m-th point replaces a uniformly
-    chosen slot with probability b/m once the buffer is full."""
-
-    def __init__(self, capacity: int, rng: np.random.Generator):
-        if capacity < 1:
-            raise UsageError("capacity must be at least 1")
-        self.capacity = capacity
-        self.rng = rng
-        self.samples: list[np.ndarray] = []
-        self.seen = 0
-
-    def insert(self, x, t=None):
-        self.seen += 1
-        if len(self.samples) < self.capacity:
-            self.samples.append(x.copy())
-            return
-        j = int(self.rng.integers(self.seen))
-        if j < self.capacity:
-            self.samples[j] = x.copy()
-
-    def vectors(self):
-        if not self.samples:
-            return np.zeros((0, 0))
-        return np.stack(self.samples)
-
-    def memory_units(self):
-        return len(self.samples)
-
-    @property
-    def size(self):
-        return len(self.samples)
-
-
-class QueueBuffer:
-    """FIFO of the most recent b samples."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise UsageError("capacity must be at least 1")
-        self.capacity = capacity
-        self.samples = deque(maxlen=capacity)
-
-    def insert(self, x, t=None):
-        self.samples.append(x.copy())
-
-    def vectors(self):
-        if not self.samples:
-            return np.zeros((0, 0))
-        return np.stack(list(self.samples))
-
-    def memory_units(self):
-        return len(self.samples)
-
-    @property
-    def size(self):
-        return len(self.samples)
-
-
-class FullBuffer:
-    """Unbounded store of every sample, for the full-rehearsal baseline."""
-
-    def __init__(self):
-        self.samples: list[np.ndarray] = []
-
-    def insert(self, x, t=None):
-        self.samples.append(x.copy())
-
-    def vectors(self):
-        if not self.samples:
-            return np.zeros((0, 0))
-        return np.stack(self.samples)
-
-    def memory_units(self):
-        return len(self.samples)
-
-    @property
-    def size(self):
-        return len(self.samples)
+        return 2 * self.size
 
 
 class BufferManager:
@@ -652,13 +592,6 @@ class BufferManager:
         if strategy == "exstream" and capacity < 2:
             raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
 
-    def _buffer(self, label: int, dim: int):
-        buf = self._buffers.get(label)
-        if buf is None:
-            buf = self._make_buffer(label, dim)
-            self._buffers[label] = buf
-        return buf
-
     def _make_buffer(self, label, dim):
         s = self.strategy
         if s == "exstream":
@@ -682,7 +615,10 @@ class BufferManager:
         if not 0 <= label < self.num_classes:
             raise UsageError(f"class label {label} outside [0, {self.num_classes})")
         x = np.asarray(x, dtype=np.float64)
-        self._buffer(int(label), x.shape[0]).insert(x, t)
+        label = int(label)
+        if label not in self._buffers:
+            self._buffers[label] = self._make_buffer(label, x.shape[0])
+        self._buffers[label].insert(x, t)
 
     def contents(self) -> tuple[np.ndarray, np.ndarray]:
         """All stored prototypes as (vectors, labels), classes in order."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
@@ -26,6 +27,8 @@ from .protocol import METHODS, AccuracyCurve, RunConfig, execute_run
 SMALL_LABEL_SET_SIZES = (2, 4, 8, 16, 32, 64, 128, 256)
 LARGE_LABEL_SET_SIZES = (2, 4, 8, 16)
 LARGE_LABEL_SET_MIN = 100
+# what identifies a run in every record of the results log, besides run_id
+RUN_FIELDS = ("dataset", "method", "buffer_size", "ordering", "seed")
 
 _dataset_cache: dict[tuple, Dataset] = {}
 
@@ -242,7 +245,10 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    done = _completed_run_ids(out)
+    done, intact = _completed_run_ids(out)
+    if out.exists() and out.stat().st_size > intact:
+        print(f"dropping an unfinished write at the end of {out}", file=sys.stderr)
+        os.truncate(out, intact)
     pending = [t for t in tasks if t["run_id"] not in done]
     print(f"{len(tasks)} runs in sweep, {len(tasks) - len(pending)} already complete, "
           f"{len(pending)} to execute with {args.jobs} job(s)")
@@ -259,22 +265,37 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _completed_run_ids(path: Path) -> set[str]:
-    done = set()
-    if not path.exists():
-        return done
-    with open(path) as fh:
+def _log_records(path):
+    """Yield (record, end offset) for each record of a results log.
+
+    Every record ends with a newline, so a last line without one is a
+    write cut short by a crash: it is skipped, and ``run`` cuts it off and
+    re-executes its run. A corrupt line anywhere else is an error.
+    """
+    end = 0
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            if not line.endswith(b"\n"):
+                return
+            end += len(line)
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}: corrupt results line: {exc}") from exc
+            yield record, end
+
+
+def _completed_run_ids(path: Path) -> tuple[set[str], int]:
+    """Run ids with a terminal record, and the byte length of the log's
+    intact part (everything up to its last newline)."""
+    done, intact = set(), 0
+    if path.exists():
+        for record, intact in _log_records(path):
             if "memory_cost" in record:
                 done.add(record["run_id"])
-    return done
+    return done, intact
 
 
 def _write_records(log, records):
@@ -302,14 +323,7 @@ def _execute_task(task) -> list[dict]:
         if task["hpstream"] else None,
     )
     result = execute_run(dataset, config)
-    identity = {
-        "run_id": task["run_id"],
-        "dataset": task["dataset"],
-        "method": task["method"],
-        "buffer_size": task["buffer_size"],
-        "ordering": task["ordering"],
-        "seed": task["seed"],
-    }
+    identity = {k: task[k] for k in ("run_id",) + RUN_FIELDS}
     records = []
     for t, accuracy in result.curve.events:
         records.append({**identity, "t": t, "accuracy": accuracy})
@@ -329,11 +343,13 @@ def cmd_report(args) -> int:
     if "dataset" not in baseline or "accuracy" not in baseline:
         raise DataFormatError(f"{args.baseline}: baseline needs dataset and accuracy fields")
 
-    events, metas = _read_events(results_path)
+    events, metas, finished = _read_events(results_path)
     if not events:
         raise DataFormatError(f"{results_path}: no event records to report")
 
-    omegas = _per_run_omegas(events, metas, baseline)
+    omegas = _per_run_omegas(events, metas, finished, baseline)
+    if not omegas:
+        raise DataFormatError(f"{results_path}: no run has finished")
     table_rows, plot_rows = _aggregate(omegas)
 
     out = Path(args.out)
@@ -350,32 +366,33 @@ def cmd_report(args) -> int:
 
 def _read_events(path):
     """Collect event records keyed by (run_id, t), last record winning, so a
-    rerun after a partially-written run never double-counts events."""
+    rerun after a partially-written run never double-counts events, and
+    the ids of runs with a terminal record."""
     events: dict[tuple[str, int], float] = {}
     metas: dict[str, dict] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: corrupt results line: {exc}") from exc
-            run_id = record.get("run_id")
-            if run_id is None:
-                raise DataFormatError(f"{path}: record without run_id")
-            metas.setdefault(run_id, {k: record[k] for k in
-                                      ("dataset", "method", "buffer_size", "ordering", "seed")})
-            if "t" in record:
-                events[(run_id, int(record["t"]))] = float(record["accuracy"])
-    return events, metas
+    finished: set[str] = set()
+    for record, _ in _log_records(path):
+        run_id = record.get("run_id")
+        if run_id is None:
+            raise DataFormatError(f"{path}: record without run_id")
+        metas.setdefault(run_id, {k: record[k] for k in RUN_FIELDS})
+        if "t" in record:
+            events[(run_id, int(record["t"]))] = float(record["accuracy"])
+        if "memory_cost" in record:
+            finished.add(run_id)
+    return events, metas, finished
 
 
-def _per_run_omegas(events, metas, baseline):
+def _per_run_omegas(events, metas, finished, baseline):
+    """Omega per finished run; runs without a terminal record are skipped
+    (and counted on stderr), since their curves may be cut short."""
     by_run: dict[str, list[tuple[int, float]]] = {}
     for (run_id, t), accuracy in events.items():
         by_run.setdefault(run_id, []).append((t, accuracy))
+    unfinished = [run_id for run_id in by_run if run_id not in finished]
+    if unfinished:
+        print(f"skipped {len(unfinished)} unfinished run(s) with no terminal record",
+              file=sys.stderr)
 
     baseline_curve = baseline.get("curve")
     baseline_lookup = None
@@ -384,6 +401,8 @@ def _per_run_omegas(events, metas, baseline):
 
     omegas = []
     for run_id, pairs in by_run.items():
+        if run_id not in finished:
+            continue
         meta = metas[run_id]
         if meta["dataset"] != baseline["dataset"]:
             raise DataFormatError(

@@ -1,16 +1,16 @@
 """Fully connected softmax classifier trained with plain SGD.
 
 Hidden blocks run affine -> batch norm -> activation -> dropout; the head
-is a single affine into a softmax. Everything is numpy, float64 by
-default, and deterministic under the config seed. Batch norm keeps
-running statistics with momentum 0.9 and falls back to them for
-batch-size-1 training steps, where batch variance would be zero.
+is a single affine into a softmax. Everything is numpy in float64 and
+deterministic under the config seed. Batch norm keeps running statistics
+with momentum 0.9 and falls back to them for batch-size-1 training steps,
+where batch variance would be zero.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -62,13 +62,12 @@ class MLPClassifier:
     independent seeded generators cover initialization and dropout.
     """
 
-    def __init__(self, config: MLPConfig, dim: int, num_classes: int, dtype=np.float64):
+    def __init__(self, config: MLPConfig, dim: int, num_classes: int):
         if dim < 1 or num_classes < 2:
             raise UsageError("need dim >= 1 and num_classes >= 2")
         self.config = config
         self.dim = dim
         self.num_classes = num_classes
-        self.dtype = dtype
         self.mode = "train"
         init_rng = np.random.default_rng([config.seed, 0])
         self.rng = np.random.default_rng([config.seed, 1])
@@ -78,13 +77,17 @@ class MLPClassifier:
         self.biases = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             scale = np.sqrt(2.0 / fan_in)
-            self.weights.append((init_rng.standard_normal((fan_in, fan_out)) * scale).astype(dtype))
-            self.biases.append(np.zeros(fan_out, dtype=dtype))
+            # The copy is kept for speed, not for its value: with it, glibc
+            # malloc serves the weight-sized temporaries of each training
+            # step from reused memory. Without it a paper-shaped no_buffer
+            # run took ~400k minor page faults instead of ~3k, ~40% slower.
+            self.weights.append((init_rng.standard_normal((fan_in, fan_out)) * scale).copy())
+            self.biases.append(np.zeros(fan_out))
         hidden = list(config.layer_sizes)
-        self.bn_scale = [np.ones(h, dtype=dtype) for h in hidden]
-        self.bn_shift = [np.zeros(h, dtype=dtype) for h in hidden]
-        self.bn_mean = [np.zeros(h, dtype=dtype) for h in hidden]
-        self.bn_var = [np.ones(h, dtype=dtype) for h in hidden]
+        self.bn_scale = [np.ones(h) for h in hidden]
+        self.bn_shift = [np.zeros(h) for h in hidden]
+        self.bn_mean = [np.zeros(h) for h in hidden]
+        self.bn_var = [np.ones(h) for h in hidden]
 
     # -- modes ---------------------------------------------------------
 
@@ -122,7 +125,7 @@ class MLPClassifier:
         return np.argmax(self.forward(inputs, mode="eval"), axis=1)
 
     def _check_inputs(self, inputs):
-        x = np.asarray(inputs, dtype=self.dtype)
+        x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise UsageError(f"inputs must be (m, {self.dim}), got {x.shape}")
         return x
@@ -181,7 +184,7 @@ class MLPClassifier:
 
     def _activate_grad(self, u, a):
         if self.config.activation == "relu":
-            return (u > 0).astype(self.dtype)
+            return (u > 0).astype(np.float64)
         return np.where(u > 0, 1.0, a + 1.0)
 
     # -- training ------------------------------------------------------
@@ -278,18 +281,11 @@ class MLPClassifier:
             "config": asdict(self.config),
             "dim": self.dim,
             "num_classes": self.num_classes,
-            "dtype": np.dtype(self.dtype).str,
             "mode": self.mode,
             "rng_state": self.rng.bit_generator.state,
         }
-        arrays = {}
-        for i, w in enumerate(self.weights):
-            arrays[f"w{i}"] = w
-        for i, b in enumerate(self.biases):
-            arrays[f"b{i}"] = b
+        arrays = dict(self.named_parameters())
         for i in range(self.num_hidden):
-            arrays[f"bn_scale{i}"] = self.bn_scale[i]
-            arrays[f"bn_shift{i}"] = self.bn_shift[i]
             arrays[f"bn_mean{i}"] = self.bn_mean[i]
             arrays[f"bn_var{i}"] = self.bn_var[i]
         np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
@@ -300,16 +296,12 @@ class MLPClassifier:
             meta = json.loads(bytes(blob["meta"]).decode())
             cfg = meta["config"]
             cfg["layer_sizes"] = tuple(cfg["layer_sizes"])
-            model = cls(MLPConfig(**cfg), meta["dim"], meta["num_classes"],
-                        dtype=np.dtype(meta["dtype"]))
+            model = cls(MLPConfig(**cfg), meta["dim"], meta["num_classes"])
             model.mode = meta["mode"]
             model.rng.bit_generator.state = meta["rng_state"]
-            for i in range(len(model.weights)):
-                model.weights[i] = blob[f"w{i}"].copy()
-                model.biases[i] = blob[f"b{i}"].copy()
+            for name, param in model.named_parameters():
+                param[...] = blob[name]
             for i in range(model.num_hidden):
-                model.bn_scale[i] = blob[f"bn_scale{i}"].copy()
-                model.bn_shift[i] = blob[f"bn_shift{i}"].copy()
                 model.bn_mean[i] = blob[f"bn_mean{i}"].copy()
                 model.bn_var[i] = blob[f"bn_var{i}"].copy()
         return model

@@ -1,5 +1,5 @@
 """Single-pass streaming runs: buffer update, rehearsal step, periodic
-evaluation. Also the no-buffer and offline baselines."""
+evaluation; and the offline baseline."""
 
 from __future__ import annotations
 
@@ -105,48 +105,40 @@ def rehearsal_update(model: MLPClassifier, manager: BufferManager,
 def run_streaming(dataset: Dataset, config: RunConfig) -> AccuracyCurve:
     """Single pass over the ordered train stream with rehearsal after
     every sample; evaluates on the test split at each event time."""
-    if config.strategy == "no_buffer":
-        return run_no_buffer(dataset, config)
-    return _stream_with_buffer(dataset, config)[0]
+    return _stream(dataset, config)[0]
 
 
-def _stream_with_buffer(dataset, config):
+def _stream(dataset, config):
+    """The one streaming loop; returns the curve and the final memory cost.
+
+    no_buffer has no buffer manager: each step trains on the arriving
+    sample alone (batch norm falls back to running statistics), and the
+    memory cost is 0.
+    """
     x, y = dataset.train_arrays()
     xt, yt = dataset.test_arrays()
     order = order_stream(dataset, config.ordering)
     model = MLPClassifier(config.mlp, dataset.dim, dataset.num_classes)
-    manager = BufferManager(config.strategy, config.buffer_size, dataset.num_classes,
-                            seed=config.buffer_seed,
-                            clustream=config.clustream, hpstream=config.hpstream)
+    manager = None
+    if config.strategy != "no_buffer":
+        manager = BufferManager(config.strategy, config.buffer_size, dataset.num_classes,
+                                seed=config.buffer_seed,
+                                clustream=config.clustream, hpstream=config.hpstream)
     shuffle_rng = np.random.default_rng([config.mlp.seed, 3])
     events = set(event_times(len(order), config.eval_every))
     times, values = [], []
     model.train()
     for t, idx in enumerate(order, start=1):
-        manager.insert(x[idx], int(y[idx]), t)
-        rehearsal_update(model, manager, shuffle_rng)
+        if manager is None:
+            model.train_minibatch(x[idx:idx + 1], y[idx:idx + 1])
+        else:
+            manager.insert(x[idx], int(y[idx]), t)
+            rehearsal_update(model, manager, shuffle_rng)
         if t in events:
             times.append(t)
             values.append(evaluate_accuracy(model, xt, yt))
-    return AccuracyCurve(np.array(times), np.array(values)), manager
-
-
-def run_no_buffer(dataset: Dataset, config: RunConfig) -> AccuracyCurve:
-    """Streaming fine-tuning without rehearsal: one gradient step on each
-    arriving sample (batch norm falls back to running statistics)."""
-    x, y = dataset.train_arrays()
-    xt, yt = dataset.test_arrays()
-    order = order_stream(dataset, config.ordering)
-    model = MLPClassifier(config.mlp, dataset.dim, dataset.num_classes)
-    events = set(event_times(len(order), config.eval_every))
-    times, values = [], []
-    model.train()
-    for t, idx in enumerate(order, start=1):
-        model.train_minibatch(x[idx:idx + 1], y[idx:idx + 1])
-        if t in events:
-            times.append(t)
-            values.append(evaluate_accuracy(model, xt, yt))
-    return AccuracyCurve(np.array(times), np.array(values))
+    cost = 0 if manager is None else manager.memory_cost()
+    return AccuracyCurve(np.array(times), np.array(values)), cost
 
 
 def run_offline_baseline(dataset: Dataset, config: RunConfig,
@@ -173,10 +165,5 @@ def execute_run(dataset: Dataset, config: RunConfig) -> RunResult:
     """Run one method end to end, timing it and reading off the final
     buffer memory cost (0 for no_buffer)."""
     start = time.perf_counter()
-    if config.strategy == "no_buffer":
-        curve = run_no_buffer(dataset, config)
-        cost = 0
-    else:
-        curve, manager = _stream_with_buffer(dataset, config)
-        cost = manager.memory_cost()
+    curve, cost = _stream(dataset, config)
     return RunResult(curve, cost, time.perf_counter() - start)

@@ -9,9 +9,8 @@ import pytest
 
 from protostream import (BufferManager, CluStreamParams, HPStreamParams,
                          UsageError, assign_projected_dims, kmeans_lloyd)
-from protostream.buffers import (CluStreamBuffer, ExStreamBuffer, FadedCluster,
-                                 HPStreamBuffer, MicroCluster, OnlineKMeansBuffer,
-                                 QueueBuffer, ReservoirBuffer)
+from protostream.buffers import (CluStreamBuffer, ExStreamBuffer, HPStreamBuffer,
+                                 OnlineKMeansBuffer, QueueBuffer, ReservoirBuffer)
 
 
 # ---------------------------------------------------------------- simulators
@@ -172,9 +171,18 @@ class TestOnlineKMeans:
 # ----------------------------------------------------------------- clustream
 
 class TestMicroCluster:
+    """Cluster-feature arithmetic, read off capacity-1 CluStream buffers."""
+
+    def _buf(self, points):
+        buf = CluStreamBuffer(1, CluStreamParams(), np.random.default_rng(0))
+        for p, t in points:
+            buf.insert(np.array(p), t)
+        return buf
+
     def test_from_point_and_absorb(self):
-        mc = MicroCluster.from_point(np.array([1.0, 2.0]), t=1.0)
-        mc.absorb(np.array([2.0, 3.0]), t=2.0)
+        # two staged points seed the single cluster with both of them
+        buf = self._buf([([1.0, 2.0], 1.0), ([2.0, 3.0], 2.0)])
+        mc = buf.clusters[0]
         assert mc.n == 2
         np.testing.assert_array_equal(mc.linear_sum, [3.0, 5.0])
         np.testing.assert_array_equal(mc.squared_sum, [5.0, 13.0])
@@ -184,14 +192,15 @@ class TestMicroCluster:
         np.testing.assert_allclose(mc.relevance_stamp(2.0), 2.5)
 
     def test_merge_adds_statistics(self):
-        a = MicroCluster.from_point(np.array([1.0, 1.0]), t=0.0)
-        a.absorb(np.array([3.0, 3.0]), t=2.0)
-        b = MicroCluster.from_point(np.array([10.0, 0.0]), t=4.0)
-        a.merge(b)
-        assert a.n == 3
-        np.testing.assert_array_equal(a.linear_sum, [14.0, 4.0])
-        np.testing.assert_array_equal(a.squared_sum, [110.0, 10.0])
-        assert a.timestamp_sum == 6.0 and a.timestamp_sq_sum == 20.0
+        # [10, 0] lies outside the boundary, opens a singleton, and nothing
+        # is stale, so the singleton merges into the seeded cluster
+        buf = self._buf([([1.0, 1.0], 0.0), ([3.0, 3.0], 2.0), ([10.0, 0.0], 4.0)])
+        assert buf.size == 1
+        mc = buf.clusters[0]
+        assert mc.n == 3
+        np.testing.assert_array_equal(mc.linear_sum, [14.0, 4.0])
+        np.testing.assert_array_equal(mc.squared_sum, [110.0, 10.0])
+        assert mc.timestamp_sum == 6.0 and mc.timestamp_sq_sum == 20.0
 
 
 class TestCluStream:
@@ -302,38 +311,55 @@ class TestKMeansLloyd:
 # ------------------------------------------------------------------ hpstream
 
 class TestFadedCluster:
+    """Fade and absorb arithmetic, read off HPStream buffers at unit speed,
+    decay rate 0.5 and one projected dimension."""
+
+    def _buf(self, capacity, points):
+        buf = HPStreamBuffer(capacity, HPStreamParams(speed=1.0, decay_rate=0.5,
+                                                      projected_dims=1), 2)
+        for p, t in points:
+            buf.insert(np.array(p), t)
+        return buf
+
     def test_fade_halves_at_unit_rate(self):
-        fc = FadedCluster.from_point(np.array([2.0, 4.0]), t=0.0)
-        fc.fade_to(2.0, decay_rate=0.5)  # 2^(-0.5 * 2) = 0.5
-        assert fc.weight == 0.5
-        np.testing.assert_array_equal(fc.linear_sum, [1.0, 2.0])
-        np.testing.assert_array_equal(fc.squared_sum, [2.0, 8.0])
-        assert fc.last_fade == 2.0 and fc.last_update == 0.0
+        # 2^(-0.5 * 2) = 0.5 halves the cluster before [2, 0] is absorbed
+        # (it matches the centroid on the projected dimension 0)
+        fc = self._buf(1, [([2.0, 4.0], 0.0), ([2.0, 0.0], 2.0)]).clusters[0]
+        assert fc.weight == 0.5 * 1.0 + 1.0
+        np.testing.assert_array_equal(fc.linear_sum, [0.5 * 2.0 + 2.0, 0.5 * 4.0 + 0.0])
+        np.testing.assert_array_equal(fc.squared_sum, [0.5 * 4.0 + 4.0, 0.5 * 16.0 + 0.0])
+        assert fc.last_fade == 2.0 and fc.last_update == 2.0
 
     def test_absorb_after_fade(self):
-        fc = FadedCluster.from_point(np.array([2.0, 4.0]), t=0.0)
-        fc.fade_to(2.0, decay_rate=0.5)
-        fc.absorb(np.array([4.0, 0.0]), t=2.0)
+        fc = self._buf(1, [([2.0, 4.0], 0.0), ([2.0, 0.0], 2.0)]).clusters[0]
         assert fc.weight == 1.5
-        np.testing.assert_array_equal(fc.linear_sum, [5.0, 2.0])
-        np.testing.assert_array_equal(fc.squared_sum, [18.0, 8.0])
-        assert fc.last_update == 2.0
-        np.testing.assert_allclose(fc.centroid(), [10.0 / 3.0, 4.0 / 3.0])
-        np.testing.assert_allclose(fc.radii(), [np.sqrt(8.0 / 9.0), np.sqrt(32.0 / 9.0)])
+        np.testing.assert_array_equal(fc.linear_sum, [3.0, 2.0])
+        np.testing.assert_array_equal(fc.squared_sum, [6.0, 8.0])
+        np.testing.assert_array_equal(fc.bits, [True, False])
+        np.testing.assert_allclose(fc.centroid(), [2.0, 4.0 / 3.0])
+        np.testing.assert_allclose(fc.radii(), [0.0, np.sqrt(32.0 / 9.0)])
 
     def test_light_cluster_has_zero_radius(self):
-        fc = FadedCluster.from_point(np.array([3.0, -1.0]), t=0.0)
-        np.testing.assert_array_equal(fc.radii(), [0.0, 0.0])
-        fc.fade_to(4.0, decay_rate=0.5)
+        buf = self._buf(2, [([3.0, -1.0], 0.0), ([100.0, 100.0], 0.0)])
+        np.testing.assert_array_equal(buf.clusters[0].radii(), [0.0, 0.0])
+        buf.insert(np.array([100.0, 7.0]), 4.0)  # cluster 1 absorbs it
+        fc = buf.clusters[0]
+        assert fc.weight == 0.25 and fc.last_fade == 4.0
         np.testing.assert_array_equal(fc.radii(), [0.0, 0.0])
 
     def test_fade_preserves_centroid_and_radii(self):
-        fc = FadedCluster.from_point(np.array([1.0, 5.0]), t=0.0)
-        fc.absorb(np.array([3.0, 1.0]), t=0.0)
-        before_c, before_r = fc.centroid().copy(), fc.radii().copy()
-        fc.fade_to(0.5, decay_rate=0.5)
-        np.testing.assert_allclose(fc.centroid(), before_c)
-        np.testing.assert_allclose(fc.radii(), before_r)
+        # cluster 1 absorbs [1, 1]; the probe at t=0.5 lands in cluster 0,
+        # so cluster 1 is only faded
+        buf = self._buf(2, [([50.0, 50.0], 0.0), ([1.0, 5.0], 0.0), ([1.0, 1.0], 0.0)])
+        before = buf.clusters[1]
+        assert before.weight == 2.0
+        buf.insert(np.array([50.0, 50.0]), 0.5)
+        after = buf.clusters[1]
+        np.testing.assert_allclose(after.weight, 2.0 * 2.0 ** -0.25)
+        assert after.last_update == 0.0 and after.last_fade == 0.5
+        np.testing.assert_allclose(after.centroid(), before.centroid())
+        np.testing.assert_allclose(after.radii(), before.radii())
+        np.testing.assert_allclose(before.radii(), [0.0, 2.0])
 
 
 class TestProjectedDims:
@@ -527,10 +553,16 @@ class TestBufferManager:
 
     def test_full_grows_without_bound(self):
         mgr = BufferManager("full", 0, num_classes=1)
-        for i in range(50):
-            mgr.insert([float(i)], 0, i)
-        assert mgr.memory_cost() == 50
-        assert mgr.class_size(0) == 50
+        rows = np.arange(300.0).reshape(150, 2)
+        for i, row in enumerate(rows):
+            mgr.insert(row, 0, i)
+            if i in (15, 16, 17, 31, 32, 64, 100):  # on and around array doublings
+                np.testing.assert_array_equal(mgr.contents()[0], rows[: i + 1])
+        assert mgr.memory_cost() == 150
+        assert mgr.class_size(0) == 150
+        vecs, labels = mgr.contents()
+        np.testing.assert_array_equal(vecs, rows)  # arrival order
+        np.testing.assert_array_equal(labels, np.zeros(150))
 
     def test_reservoir_seed_changes_selection(self):
         def fill(seed):

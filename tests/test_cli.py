@@ -175,6 +175,31 @@ class TestRun:
         records = read_jsonl(out)
         assert sum(1 for r in records if "memory_cost" in r) == 1
 
+    def test_resume_past_torn_last_line(self, workspace, tmp_path):
+        cfg = write_json(tmp_path / "sweep.json", sweep_config(workspace))
+        base = str(workspace["baseline"])
+        full = tmp_path / "full.jsonl"
+        assert main(["run", "--config", str(cfg), "--baseline", base, "--out", str(full)]) == 0
+        assert main(["report", "--results", str(full), "--baseline", base,
+                     "--out", str(tmp_path / "full_report")]) == 0
+        # cut the log mid-line, as a crash during a write leaves it
+        data = full.read_bytes()
+        cut = data.index(b"\n", len(data) // 2) - 5
+        out = tmp_path / "results.jsonl"
+        out.write_bytes(data[:cut])
+        # report scores the runs finished before the cut and skips the torn line
+        assert main(["report", "--results", str(out), "--baseline", base,
+                     "--out", str(tmp_path / "cut_report")]) == 0
+        assert main(["run", "--config", str(cfg), "--baseline", base, "--out", str(out)]) == 0
+        records = read_jsonl(out)
+        terminals = [r["run_id"] for r in records if "memory_cost" in r]
+        assert sorted(terminals) == sorted({r["run_id"] for r in records})
+        assert len(terminals) == 6
+        assert main(["report", "--results", str(out), "--baseline", base,
+                     "--out", str(tmp_path / "report")]) == 0
+        assert (tmp_path / "report/omega_table.csv").read_bytes() == \
+               (tmp_path / "full_report/omega_table.csv").read_bytes()
+
     def test_wrong_baseline_dataset(self, workspace, tmp_path, capsys):
         bad = write_json(tmp_path / "base.json",
                          {"dataset": "other", "accuracy": 0.9, "seed": 0, "epochs": 1})
@@ -220,7 +245,9 @@ def terminal(run_id, meta, cost=4):
                        "wall_clock_s": 0.1, "memory_cost": cost})
 
 
-def craft_results(path, rows):
+def craft_results(path, rows, unfinished=()):
+    """A results log of the given runs; the (method, size, seed) runs named
+    in ``unfinished`` get no terminal record."""
     lines = []
     for method, size, seed, accuracies in rows:
         meta = {"dataset": "toy", "method": method, "buffer_size": size,
@@ -228,14 +255,15 @@ def craft_results(path, rows):
         run_id = f"toy-{method}-b{size}-iid-s{seed}"
         for t, acc in accuracies:
             lines.append(event(run_id, meta, t, acc))
-        lines.append(terminal(run_id, meta))
+        if (method, size, seed) not in unfinished:
+            lines.append(terminal(run_id, meta))
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 class TestReport:
-    def run_report(self, tmp_path, rows, baseline=None):
-        results = craft_results(tmp_path / "results.jsonl", rows)
+    def run_report(self, tmp_path, rows, baseline=None, unfinished=()):
+        results = craft_results(tmp_path / "results.jsonl", rows, unfinished)
         base = write_json(tmp_path / "base.json",
                           baseline or {"dataset": "toy", "accuracy": 1.0,
                                        "seed": 0, "epochs": 1})
@@ -298,6 +326,21 @@ class TestReport:
                      "--baseline", str(tmp_path / "base.json"), "--out", str(out)])
         assert code == 0
         assert (out / "omega_table.csv").read_bytes() == first
+
+    def test_unfinished_runs_are_not_scored(self, tmp_path, capsys):
+        rows = [("queue", 2, 0, [(30, 1.0), (60, 1.0)]),
+                ("queue", 4, 0, [(30, 0.5)])]
+        code, out = self.run_report(tmp_path, rows, unfinished={("queue", 4, 0)})
+        assert code == 0
+        assert "skipped 1 unfinished run" in capsys.readouterr().err
+        table = self.read_table(out)
+        assert [r["buffer_size"] for r in table] == ["2", "mu_total"]
+        assert table[1]["omega"] == "1.000"
+
+    def test_no_finished_run(self, tmp_path):
+        rows = [("queue", 2, 0, [(30, 1.0), (60, 1.0)])]
+        code, _ = self.run_report(tmp_path, rows, unfinished={("queue", 2, 0)})
+        assert code == 3
 
     def test_baseline_curve_lookup(self, tmp_path):
         rows = [("queue", 2, 0, [(30, 0.4), (60, 0.9)])]

@@ -6,8 +6,8 @@ import pytest
 from protostream import (AccuracyCurve, BufferManager, MLPClassifier, MLPConfig,
                          RunConfig, StreamOrdering, SynthSpec, UsageError,
                          evaluate_accuracy, event_times, execute_run,
-                         order_stream, rehearsal_update, run_no_buffer,
-                         run_offline_baseline, run_streaming, synth_gaussian)
+                         order_stream, rehearsal_update, run_offline_baseline,
+                         run_streaming, synth_gaussian)
 
 
 def stream_dataset(seed=0):
@@ -161,6 +161,24 @@ class TestRunStreaming:
         xt, yt = ds.test_arrays()
         mask = yt == first
         assert evaluate_accuracy(model, xt[mask], yt[mask]) < 0.10
+
+    def test_no_buffer_trains_on_each_arriving_sample(self):
+        """no_buffer is one plain step per sample, with no rehearsal pass,
+        scored on the event grid."""
+        ds = stream_dataset()
+        cfg = stream_config("no_buffer", 0, eval_every=150)
+        curve = run_streaming(ds, cfg)
+        model = MLPClassifier(cfg.mlp, ds.dim, ds.num_classes).train()
+        x, y = ds.train_arrays()
+        xt, yt = ds.test_arrays()
+        times, values = [], []
+        for t, idx in enumerate(order_stream(ds, cfg.ordering), start=1):
+            model.train_minibatch(x[idx:idx + 1], y[idx:idx + 1])
+            if t in (150, 300, 400):
+                times.append(t)
+                values.append(evaluate_accuracy(model, xt, yt))
+        assert curve.times.tolist() == times
+        assert curve.values.tolist() == values
 
     def test_full_rehearsal_matches_offline_at_the_end(self):
         # widely separated classes so both training regimes saturate
