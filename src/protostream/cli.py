@@ -34,6 +34,9 @@ _dataset_cache: dict[tuple, Dataset] = {}
 
 
 def main(argv=None) -> int:
+    # the cache lives for one command (and the workers `run` forks after
+    # loading): a later command may find other files at the same paths
+    _dataset_cache.clear()
     parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
@@ -75,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a sweep of streaming runs")
     p.add_argument("--config", required=True, help="sweep JSON")
     p.add_argument("--baseline", required=True, help="baseline JSON from the baseline command")
-    p.add_argument("--features", help="override the sweep's feature file")
-    p.add_argument("--manifest", help="override the sweep's manifest")
-    p.add_argument("--eval-every", type=int, help="override the evaluation stride")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="results JSONL (appended, resumable)")
     p.set_defaults(func=cmd_run)
@@ -172,12 +172,6 @@ def cmd_run(args) -> int:
     sweep = _load_json(args.config, "sweep config")
     if not isinstance(sweep, dict):
         raise UsageError("sweep config must be a JSON object")
-    if args.features:
-        sweep["features"] = args.features
-    if args.manifest:
-        sweep["manifest"] = args.manifest
-    if args.eval_every is not None:
-        sweep["eval_every"] = args.eval_every
     if args.jobs is not None and args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
 

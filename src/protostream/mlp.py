@@ -68,7 +68,6 @@ class MLPClassifier:
         self.config = config
         self.dim = dim
         self.num_classes = num_classes
-        self.mode = "train"
         init_rng = np.random.default_rng([config.seed, 0])
         self.rng = np.random.default_rng([config.seed, 1])
 
@@ -89,40 +88,27 @@ class MLPClassifier:
         self.bn_mean = [np.zeros(h) for h in hidden]
         self.bn_var = [np.ones(h) for h in hidden]
 
-    # -- modes ---------------------------------------------------------
-
-    def train(self):
-        self.mode = "train"
-        return self
-
-    def eval(self):
-        self.mode = "eval"
-        return self
-
     @property
     def num_hidden(self):
         return len(self.config.layer_sizes)
 
     # -- forward -------------------------------------------------------
 
-    def forward(self, inputs, mode: str | None = None) -> np.ndarray:
+    def forward(self, inputs, train: bool = False) -> np.ndarray:
         """Class probability rows for a (m, dim) batch.
 
-        Train mode uses batch statistics when m >= 2 and applies dropout
-        (consuming the model's dropout generator); eval mode and
-        single-sample train batches normalize with running statistics.
+        By default batch norm uses running statistics and no dropout is
+        applied. With train=True, batches of m >= 2 normalize with their
+        own statistics, and dropout consumes the model's dropout generator.
         """
-        mode = mode or self.mode
-        if mode not in ("train", "eval"):
-            raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
         x = self._check_inputs(inputs)
-        rng = self.rng if (mode == "train" and self.config.dropout_keep < 1.0) else None
-        probs, _, _ = self._forward_full(x, train=(mode == "train"), dropout_rng=rng)
-        return probs
+        rng = self.rng if train and self.config.dropout_keep < 1.0 else None
+        log_probs, _, _ = self._forward(x, train, rng)
+        return np.exp(log_probs)
 
     def predict(self, inputs) -> np.ndarray:
-        """Arg-max class per row in eval mode; ties go to the lowest index."""
-        return np.argmax(self.forward(inputs, mode="eval"), axis=1)
+        """Arg-max class per row of forward(inputs); ties go to the lowest index."""
+        return np.argmax(self.forward(inputs), axis=1)
 
     def _check_inputs(self, inputs):
         x = np.asarray(inputs, dtype=np.float64)
@@ -130,52 +116,51 @@ class MLPClassifier:
             raise UsageError(f"inputs must be (m, {self.dim}), got {x.shape}")
         return x
 
-    def _forward_full(self, x, train, dropout_rng):
-        """Shared forward pass; returns (probs, layer caches, batch stats)."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self._forward_layers(x, train, dropout_rng)
-
-    def _forward_layers(self, x, train, dropout_rng):
-        # the isfinite checks below turn numeric blowups into NumericError,
-        # so numpy's intermediate inf/nan warnings are suppressed above
+    def _forward(self, x, train, dropout_rng):
+        """Returns (log-probabilities, caches, batch stats). caches[i] is a
+        tuple that starts with the input of layer i; hidden layers add
+        (zhat, inv, u, a, mask). Batch stats are (mean, var) per hidden layer,
+        empty when running statistics were used. Dropout masks are drawn
+        from dropout_rng when one is given."""
         keep = self.config.dropout_keep
         use_batch_stats = train and len(x) >= 2
         h = x
         caches = []
         stats = []
-        for i in range(self.num_hidden):
-            z = h @ self.weights[i] + self.biases[i]
-            if use_batch_stats:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
-                stats.append((mu, var))
-            else:
-                mu = self.bn_mean[i]
-                var = self.bn_var[i]
-            inv = 1.0 / np.sqrt(var + BN_EPS)
-            zhat = (z - mu) * inv
-            u = self.bn_scale[i] * zhat + self.bn_shift[i]
-            a = self._activate(u)
-            if train and keep < 1.0:
-                mask = (dropout_rng.random(a.shape) < keep) / keep
-                out = a * mask
-            else:
-                mask = None
-                out = a
-            if not np.isfinite(out).all():
-                raise NumericError(f"non-finite activation in hidden layer {i}")
-            caches.append({"h_in": h, "zhat": zhat, "inv": inv, "u": u, "a": a,
-                           "mask": mask, "batch": use_batch_stats})
-            h = out
-        logits = h @ self.weights[-1] + self.biases[-1]
-        if not np.isfinite(logits).all():
-            raise NumericError("non-finite logits in output layer")
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        log_probs = shifted - log_z
-        probs = np.exp(log_probs)
-        caches.append({"h_in": h, "log_probs": log_probs})
-        return probs, caches, stats
+        # the isfinite checks below turn numeric blowups into NumericError,
+        # so numpy's intermediate inf/nan warnings are suppressed
+        with np.errstate(invalid="ignore", over="ignore"):
+            for i in range(self.num_hidden):
+                z = h @ self.weights[i] + self.biases[i]
+                if use_batch_stats:
+                    mu = z.mean(axis=0)
+                    var = z.var(axis=0)
+                    stats.append((mu, var))
+                else:
+                    mu = self.bn_mean[i]
+                    var = self.bn_var[i]
+                inv = 1.0 / np.sqrt(var + BN_EPS)
+                zhat = (z - mu) * inv
+                u = self.bn_scale[i] * zhat + self.bn_shift[i]
+                a = self._activate(u)
+                if dropout_rng is not None:
+                    mask = (dropout_rng.random(a.shape) < keep) / keep
+                    out = a * mask
+                else:
+                    mask = None
+                    out = a
+                if not np.isfinite(out).all():
+                    raise NumericError(f"non-finite activation in hidden layer {i}")
+                caches.append((h, zhat, inv, u, a, mask))
+                h = out
+            logits = h @ self.weights[-1] + self.biases[-1]
+            if not np.isfinite(logits).all():
+                raise NumericError("non-finite logits in output layer")
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            log_probs = shifted - log_z
+        caches.append((h,))
+        return log_probs, caches, stats
 
     def _activate(self, u):
         if self.config.activation == "relu":
@@ -202,46 +187,44 @@ class MLPClassifier:
         if y.min() < 0 or y.max() >= self.num_classes:
             raise UsageError("label outside [0, num_classes)")
         m = len(x)
-        probs, caches, stats = self._forward_full(x, train=True, dropout_rng=dropout_rng)
-        log_probs = caches[-1]["log_probs"]
+        log_probs, caches, stats = self._forward(x, True, dropout_rng)
         loss = float(-log_probs[np.arange(m), y].mean())
         if not np.isfinite(loss):
             raise NumericError("non-finite training loss")
 
         grads = {}
-        dlogits = probs.copy()
-        dlogits[np.arange(m), y] -= 1.0
-        dlogits /= m
-        h_last = caches[-1]["h_in"]
-        grads[f"w{self.num_hidden}"] = h_last.T @ dlogits
-        grads[f"b{self.num_hidden}"] = dlogits.sum(axis=0)
-        dh = dlogits @ self.weights[-1].T
-        for i in range(self.num_hidden - 1, -1, -1):
-            c = caches[i]
-            if c["mask"] is not None:
-                dh = dh * c["mask"]
-            du = dh * self._activate_grad(c["u"], c["a"])
-            grads[f"bn_scale{i}"] = (du * c["zhat"]).sum(axis=0)
-            grads[f"bn_shift{i}"] = du.sum(axis=0)
-            dzhat = du * self.bn_scale[i]
-            if c["batch"]:
-                n = len(x)
-                dz = (c["inv"] / n) * (n * dzhat - dzhat.sum(axis=0)
-                                       - c["zhat"] * (dzhat * c["zhat"]).sum(axis=0))
-            else:
-                dz = dzhat * c["inv"]
-            grads[f"w{i}"] = c["h_in"].T @ dz
+        dz = np.exp(log_probs)
+        dz[np.arange(m), y] -= 1.0
+        dz /= m
+        for i in range(self.num_hidden, -1, -1):
+            if i < self.num_hidden:
+                _, zhat, inv, u, a, mask = caches[i]
+                if mask is not None:
+                    dh *= mask
+                du = dh * self._activate_grad(u, a)
+                grads[f"bn_scale{i}"] = (du * zhat).sum(axis=0)
+                grads[f"bn_shift{i}"] = du.sum(axis=0)
+                dzhat = du * self.bn_scale[i]
+                if stats:
+                    dz = (inv / m) * (m * dzhat - dzhat.sum(axis=0)
+                                      - zhat * (dzhat * zhat).sum(axis=0))
+                else:
+                    dz = dzhat * inv
+            grads[f"w{i}"] = caches[i][0].T @ dz
             grads[f"b{i}"] = dz.sum(axis=0)
-            dh = dz @ self.weights[i].T
+            if i > 0:  # nothing reads the gradient of the network input
+                dh = dz @ self.weights[i].T
         return loss, grads, stats
 
     def apply_gradients(self, grads):
         """One SGD step, w <- w - lr * (g + weight_decay * w); the decay
-        term applies to weight matrices only."""
+        term applies to weight matrices only. grads is not modified."""
         lr = self.config.learning_rate
         wd = self.config.weight_decay
         for i, w in enumerate(self.weights):
-            w -= lr * (grads[f"w{i}"] + wd * w)
+            step = grads[f"w{i}"] + wd * w
+            step *= lr
+            w -= step
         for i, b in enumerate(self.biases):
             b -= lr * grads[f"b{i}"]
         for i in range(self.num_hidden):
@@ -250,8 +233,6 @@ class MLPClassifier:
 
     def train_minibatch(self, inputs, labels) -> float:
         """One gradient step on a batch; returns the pre-update loss."""
-        if self.mode != "train":
-            raise UsageError("train_minibatch requires train mode")
         loss, grads, stats = self.loss_and_gradients(
             inputs, labels,
             dropout_rng=self.rng if self.config.dropout_keep < 1.0 else None)
@@ -281,7 +262,6 @@ class MLPClassifier:
             "config": asdict(self.config),
             "dim": self.dim,
             "num_classes": self.num_classes,
-            "mode": self.mode,
             "rng_state": self.rng.bit_generator.state,
         }
         arrays = dict(self.named_parameters())
@@ -297,7 +277,6 @@ class MLPClassifier:
             cfg = meta["config"]
             cfg["layer_sizes"] = tuple(cfg["layer_sizes"])
             model = cls(MLPConfig(**cfg), meta["dim"], meta["num_classes"])
-            model.mode = meta["mode"]
             model.rng.bit_generator.state = meta["rng_state"]
             for name, param in model.named_parameters():
                 param[...] = blob[name]
@@ -308,18 +287,12 @@ class MLPClassifier:
 
 
 def evaluate_accuracy(model: MLPClassifier, inputs, labels) -> float:
-    """Fraction of arg-max predictions matching labels, in eval mode."""
+    """Fraction of arg-max predictions matching labels."""
     x = np.asarray(inputs)
     y = np.asarray(labels, dtype=np.int64).ravel()
     if len(x) == 0 or len(x) != len(y):
         raise UsageError("evaluation needs a non-empty, aligned test set")
-    previous = model.mode
-    model.eval()
-    try:
-        pred = model.predict(x)
-    finally:
-        model.mode = previous
-    return float((pred == y).mean())
+    return float((model.predict(x) == y).mean())
 
 
 def minibatch_slices(total: int, batch_size: int):
@@ -329,6 +302,15 @@ def minibatch_slices(total: int, batch_size: int):
         return []
     size = min(batch_size, total)
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+
+
+def train_epoch(model: MLPClassifier, x, y, rng: np.random.Generator) -> None:
+    """One pass over (x, y) in an order drawn from rng, split by
+    minibatch_slices, so each row receives exactly one gradient step."""
+    perm = rng.permutation(len(x))
+    for lo, hi in minibatch_slices(len(x), model.config.batch_size):
+        chunk = perm[lo:hi]
+        model.train_minibatch(x[chunk], y[chunk])
 
 
 def fit_offline(model: MLPClassifier, dataset, epochs: int) -> tuple[MLPClassifier, float]:
@@ -341,10 +323,6 @@ def fit_offline(model: MLPClassifier, dataset, epochs: int) -> tuple[MLPClassifi
     if len(x) == 0:
         raise UsageError("cannot fit on an empty train split")
     rng = np.random.default_rng([model.config.seed, 2])
-    model.train()
     for _ in range(epochs):
-        perm = rng.permutation(len(x))
-        for lo, hi in minibatch_slices(len(x), model.config.batch_size):
-            chunk = perm[lo:hi]
-            model.train_minibatch(x[chunk], y[chunk])
+        train_epoch(model, x, y, rng)
     return model, evaluate_accuracy(model, xt, yt)

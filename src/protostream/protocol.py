@@ -12,7 +12,7 @@ from .buffers import (BOUNDED_STRATEGIES, BufferManager, CluStreamParams,
                       HPStreamParams, STRATEGIES)
 from .data import Dataset, StreamOrdering, order_stream
 from .errors import UsageError
-from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, minibatch_slices
+from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, train_epoch
 
 METHODS = STRATEGIES + ("no_buffer",)
 
@@ -86,20 +86,12 @@ def event_times(num_samples: int, eval_every: int) -> list[int]:
 
 def rehearsal_update(model: MLPClassifier, manager: BufferManager,
                      shuffle_rng: np.random.Generator) -> None:
-    """One full pass over the buffer contents in shuffled order.
-
-    Prototypes are split into consecutive minibatches of size
-    min(model batch size, prototype count), so each prototype receives
-    exactly one gradient step. An empty buffer is a no-op.
-    """
+    """One shuffled pass over the buffer contents (mlp.train_epoch), so
+    each prototype receives exactly one gradient step. An empty buffer is
+    a no-op that draws nothing from shuffle_rng."""
     vectors, labels = manager.contents()
-    total = len(vectors)
-    if total == 0:
-        return
-    perm = shuffle_rng.permutation(total)
-    for lo, hi in minibatch_slices(total, model.config.batch_size):
-        chunk = perm[lo:hi]
-        model.train_minibatch(vectors[chunk], labels[chunk])
+    if len(vectors):
+        train_epoch(model, vectors, labels, shuffle_rng)
 
 
 def run_streaming(dataset: Dataset, config: RunConfig) -> AccuracyCurve:
@@ -127,7 +119,6 @@ def _stream(dataset, config):
     shuffle_rng = np.random.default_rng([config.mlp.seed, 3])
     events = set(event_times(len(order), config.eval_every))
     times, values = [], []
-    model.train()
     for t, idx in enumerate(order, start=1):
         if manager is None:
             model.train_minibatch(x[idx:idx + 1], y[idx:idx + 1])

@@ -100,6 +100,26 @@ class TestBaseline:
         assert record["seed"] == 0
         assert 0.0 <= record["accuracy"] <= 1.0
 
+    def test_resynth_into_same_directory_is_reloaded(self, tmp_path):
+        """A baseline after re-synthesizing into the same paths, in the same
+        process, trains on the new files."""
+        cfg = write_json(tmp_path / "s.json", SYNTH)
+        base_cfg = write_json(tmp_path / "b.json", {"dataset": "toy", "epochs": 5, "mlp": MLP})
+
+        def baseline(data, out):
+            assert main(["baseline", "--features", str(data / "features.feat"),
+                         "--manifest", str(data / "manifest.csv"),
+                         "--config", str(base_cfg), "--out", str(out)]) == 0
+            return json.loads(out.read_text())["accuracy"]
+
+        data, fresh = tmp_path / "data", tmp_path / "fresh"
+        main(["synth", "--config", str(cfg), "--out", str(data)])
+        baseline(data, tmp_path / "seed0.json")
+        main(["synth", "--config", str(cfg), "--seed", "7", "--out", str(data)])
+        again = baseline(data, tmp_path / "seed7.json")
+        main(["synth", "--config", str(cfg), "--seed", "7", "--out", str(fresh)])
+        assert again == baseline(fresh, tmp_path / "fresh7.json")
+
     def test_seed_override_recorded(self, workspace, tmp_path):
         cfg = write_json(tmp_path / "b.json", {"dataset": "toy", "epochs": 1, "mlp": MLP})
         out = tmp_path / "base.json"

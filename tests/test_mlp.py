@@ -46,7 +46,7 @@ class TestInitialization:
         assert [b.shape for b in model.biases] == [(300,), (150,), (100,), (10,)]
         assert [s.shape for s in model.bn_scale] == [(300,), (150,), (100,)]
         x = np.random.default_rng(0).standard_normal((6, 2048))
-        probs = model.forward(x, mode="eval")
+        probs = model.forward(x)
         assert probs.shape == (6, 10)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert (probs >= 0).all()
@@ -63,13 +63,13 @@ class TestInitialization:
         model = small_model(layer_sizes=())
         assert len(model.weights) == 1 and model.num_hidden == 0
         x = np.zeros((2, 5))
-        probs = model.forward(x, mode="eval")
+        probs = model.forward(x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_zeroed_output_layer_gives_exact_uniform(self):
         model = small_model(layer_sizes=(), num_classes=4)
         model.weights[0][:] = 0.0
-        probs = model.forward(np.ones((3, 5)), mode="eval")
+        probs = model.forward(np.ones((3, 5)))
         np.testing.assert_array_equal(probs, np.full((3, 4), 0.25))
 
     def test_he_scale(self):
@@ -88,20 +88,17 @@ class TestForward:
     def test_eval_is_deterministic_with_dropout_configured(self):
         model = small_model(dropout_keep=0.5)
         x = np.random.default_rng(1).standard_normal((4, 5))
-        np.testing.assert_array_equal(model.forward(x, mode="eval"),
-                                      model.forward(x, mode="eval"))
+        np.testing.assert_array_equal(model.forward(x), model.forward(x))
 
     def test_train_dropout_draws_fresh_masks(self):
         model = small_model(layer_sizes=(64,), dropout_keep=0.5)
         x = np.random.default_rng(1).standard_normal((4, 5))
-        a = model.forward(x, mode="train")
-        b = model.forward(x, mode="train")
+        a = model.forward(x, train=True)
+        b = model.forward(x, train=True)
         assert not np.array_equal(a, b)
 
     def test_bad_mode_and_bad_shape(self):
         model = small_model()
-        with pytest.raises(UsageError, match="mode"):
-            model.forward(np.zeros((2, 5)), mode="test")
         with pytest.raises(UsageError, match="inputs"):
             model.forward(np.zeros((2, 4)))
 
@@ -110,7 +107,7 @@ class TestForward:
         bad = np.zeros((2, 5))
         bad[0, 0] = np.inf
         with pytest.raises(NumericError):
-            model.forward(bad, mode="eval")
+            model.forward(bad)
 
     def test_argmax_tie_goes_to_lowest_class(self):
         model = small_model(layer_sizes=(), num_classes=4)
@@ -120,9 +117,13 @@ class TestForward:
 
 
 class TestGradients:
-    def test_central_difference_check(self):
-        """Analytic gradients match central differences on a smooth net."""
-        model = small_model(activation="elu", dropout_keep=1.0, weight_decay=0.0)
+    @pytest.mark.parametrize("layer_sizes", [(), (4,), (4, 3)],
+                             ids=["no_hidden", "one_hidden", "two_hidden"])
+    def test_central_difference_check(self, layer_sizes):
+        """Analytic gradients match central differences on a smooth net
+        with zero, one and two hidden layers."""
+        model = small_model(layer_sizes, activation="elu", dropout_keep=1.0,
+                            weight_decay=0.0)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 5))
         y = rng.integers(3, size=8)
@@ -210,17 +211,12 @@ class TestTraining:
         np.testing.assert_allclose(model.bn_mean[0], want_mean, rtol=1e-12)
         np.testing.assert_allclose(model.bn_var[0], want_var, rtol=1e-12)
 
-    def test_requires_train_mode(self):
-        model = small_model().eval()
-        with pytest.raises(UsageError, match="train mode"):
-            model.train_minibatch(np.zeros((2, 5)), [0, 1])
-
     def test_overfits_one_sample(self):
         model = small_model(layer_sizes=(16,), learning_rate=0.1)
         x = np.full((1, 5), 0.3)
         for _ in range(200):
             model.train_minibatch(x, [2])
-        prob = model.forward(x, mode="eval")[0, 2]
+        prob = model.forward(x)[0, 2]
         assert prob > 0.99
 
     def test_loss_decreases_on_separable_data(self):
@@ -241,10 +237,15 @@ class TestEvaluateAccuracy:
         acc = evaluate_accuracy(model, np.ones((4, 5)), [0, 0, 1, 2])
         assert acc == 0.5
 
-    def test_restores_mode(self):
-        model = small_model().train()
-        evaluate_accuracy(model, np.ones((2, 5)), [0, 1])
-        assert model.mode == "train"
+    def test_draws_nothing_from_the_dropout_generator(self):
+        """Evaluation runs between training steps, so a stray draw would
+        change every later dropout mask."""
+        model = small_model(layer_sizes=(8,), dropout_keep=0.5)
+        x = np.random.default_rng(8).standard_normal((6, 5))
+        before = model.rng.bit_generator.state
+        evaluate_accuracy(model, x, [0, 1, 2, 0, 1, 2])
+        model.predict(x)
+        assert model.rng.bit_generator.state == before
 
     def test_rejects_empty_or_misaligned(self):
         model = small_model()
@@ -298,9 +299,7 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         model.save(path)
         clone = MLPClassifier.load(path)
-        assert clone.mode == model.mode
-        np.testing.assert_array_equal(model.forward(x, mode="eval"),
-                                      clone.forward(x, mode="eval"))
+        np.testing.assert_array_equal(model.forward(x), clone.forward(x))
         # restored dropout generator continues the same stream
         model.train_minibatch(x, y)
         clone.train_minibatch(x, y)

@@ -95,7 +95,6 @@ class TestRehearsalUpdate:
 
     def test_each_prototype_trains_exactly_once(self):
         model = MLPClassifier(MLPConfig(layer_sizes=(4,), batch_size=2, seed=0), 1, 2)
-        model.train()
         manager = BufferManager("queue", 8, num_classes=2)
         for i in range(5):
             manager.insert([float(i)], i % 2, i)
@@ -112,7 +111,6 @@ class TestRehearsalUpdate:
 
     def test_minibatch_chunking(self):
         model = MLPClassifier(MLPConfig(layer_sizes=(), batch_size=2, seed=0), 1, 2)
-        model.train()
         manager = BufferManager("queue", 8, num_classes=2)
         for i in range(5):
             manager.insert([float(i)], i % 2, i)
@@ -154,7 +152,7 @@ class TestRunStreaming:
         cfg = stream_config("no_buffer", 0)
         order = order_stream(ds, cfg.ordering)
         first = ds.train[order[0]].class_label
-        model = MLPClassifier(cfg.mlp, ds.dim, ds.num_classes).train()
+        model = MLPClassifier(cfg.mlp, ds.dim, ds.num_classes)
         x, y = ds.train_arrays()
         for idx in order:
             model.train_minibatch(x[idx:idx + 1], y[idx:idx + 1])
@@ -168,7 +166,7 @@ class TestRunStreaming:
         ds = stream_dataset()
         cfg = stream_config("no_buffer", 0, eval_every=150)
         curve = run_streaming(ds, cfg)
-        model = MLPClassifier(cfg.mlp, ds.dim, ds.num_classes).train()
+        model = MLPClassifier(cfg.mlp, ds.dim, ds.num_classes)
         x, y = ds.train_arrays()
         xt, yt = ds.test_arrays()
         times, values = [], []
