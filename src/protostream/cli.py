@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
@@ -240,6 +241,11 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     done, intact = _completed_run_ids(out)
+    for task in tasks:
+        run_id = task["run_id"]
+        if run_id in done and done[run_id] != _config_hash(task):
+            raise UsageError(f"{out} holds a finished run {run_id} with another "
+                             f"configuration; write this sweep to a new --out")
     if out.exists() and out.stat().st_size > intact:
         print(f"dropping an unfinished write at the end of {out}", file=sys.stderr)
         os.truncate(out, intact)
@@ -281,15 +287,22 @@ def _log_records(path):
             yield record, end
 
 
-def _completed_run_ids(path: Path) -> tuple[set[str], int]:
-    """Run ids with a terminal record, and the byte length of the log's
-    intact part (everything up to its last newline)."""
-    done, intact = set(), 0
+def _completed_run_ids(path: Path) -> tuple[dict[str, str | None], int]:
+    """The config hash of each run with a terminal record (None where the
+    record has none), and the byte length of the log's intact part
+    (everything up to its last newline)."""
+    done, intact = {}, 0
     if path.exists():
         for record, intact in _log_records(path):
             if "memory_cost" in record:
-                done.add(record["run_id"])
+                done[record["run_id"]] = record.get("config")
     return done, intact
+
+
+def _config_hash(task) -> str:
+    """CRC-32 of the task's canonical JSON, as 8 hex digits. Not hashlib:
+    importing it loads OpenSSL, about 3.5 MB of resident memory."""
+    return f"{zlib.crc32(json.dumps(task, sort_keys=True).encode()):08x}"
 
 
 def _write_records(log, records):
@@ -322,6 +335,7 @@ def _execute_task(task) -> list[dict]:
     for t, accuracy in result.curve.events:
         records.append({**identity, "t": t, "accuracy": accuracy})
     records.append({**identity,
+                    "config": _config_hash(task),
                     "wall_clock_s": result.wall_clock_s,
                     "memory_cost": result.memory_cost})
     return records

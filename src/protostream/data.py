@@ -59,7 +59,7 @@ class Dataset:
 def _to_arrays(samples, dim):
     if not samples:
         return np.zeros((0, dim)), np.zeros(0, dtype=np.int64)
-    x = np.stack([s.features for s in samples]).astype(np.float64)
+    x = np.stack([s.features for s in samples]).astype(np.float64, copy=False)
     y = np.array([s.class_label for s in samples], dtype=np.int64)
     return x, y
 

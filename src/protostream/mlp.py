@@ -26,8 +26,8 @@ class MLPConfig:
     """Architecture and optimizer settings.
 
     dropout_keep is the keep probability (1.0 disables dropout);
-    weight_decay is the L2 coefficient applied inside the SGD step,
-    w <- w - lr * (grad + weight_decay * w), on weight matrices only.
+    weight_decay is the L2 coefficient of the SGD step, applied as
+    w <- (1 - lr * weight_decay) * w - lr * grad on weight matrices only.
     """
 
     layer_sizes: tuple[int, ...] = ()
@@ -76,12 +76,10 @@ class MLPClassifier:
         self.biases = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
             scale = np.sqrt(2.0 / fan_in)
-            # The copy is kept for speed, not for its value: with it, glibc
-            # malloc serves the weight-sized temporaries of each training
-            # step from reused memory. Without it a paper-shaped no_buffer
-            # run took ~400k minor page faults instead of ~3k, ~40% slower.
-            self.weights.append((init_rng.standard_normal((fan_in, fan_out)) * scale).copy())
+            self.weights.append(init_rng.standard_normal((fan_in, fan_out)) * scale)
             self.biases.append(np.zeros(fan_out))
+        # train_minibatch writes its weight gradients here, step after step
+        self._w_grads = [np.empty_like(w) for w in self.weights]
         hidden = list(config.layer_sizes)
         self.bn_scale = [np.ones(h) for h in hidden]
         self.bn_shift = [np.zeros(h) for h in hidden]
@@ -180,12 +178,22 @@ class MLPClassifier:
         Pure: parameters and running statistics are untouched. Returns
         (loss, grads dict keyed like named_parameters, batch_stats list).
         """
+        x, y = self._check_batch(inputs, labels)
+        return self._gradients(x, y, dropout_rng, 1.0,
+                               [np.empty_like(w) for w in self.weights])
+
+    def _check_batch(self, inputs, labels):
         x = self._check_inputs(inputs)
         y = np.asarray(labels, dtype=np.int64).ravel()
         if len(y) != len(x) or len(x) == 0:
             raise UsageError("labels must match a non-empty batch")
         if y.min() < 0 or y.max() >= self.num_classes:
             raise UsageError("label outside [0, num_classes)")
+        return x, y
+
+    def _gradients(self, x, y, dropout_rng, scale, w_grads):
+        """loss_and_gradients on a checked batch, each gradient times scale
+        (folded into the head error), weight gradient i written to w_grads[i]."""
         m = len(x)
         log_probs, caches, stats = self._forward(x, True, dropout_rng)
         loss = float(-log_probs[np.arange(m), y].mean())
@@ -196,6 +204,7 @@ class MLPClassifier:
         dz = np.exp(log_probs)
         dz[np.arange(m), y] -= 1.0
         dz /= m
+        dz *= scale
         for i in range(self.num_hidden, -1, -1):
             if i < self.num_hidden:
                 _, zhat, inv, u, a, mask = caches[i]
@@ -210,7 +219,11 @@ class MLPClassifier:
                                       - zhat * (dzhat * zhat).sum(axis=0))
                 else:
                     dz = dzhat * inv
-            grads[f"w{i}"] = caches[i][0].T @ dz
+            h = caches[i][0]
+            if m == 1:  # an outer product; matmul takes no BLAS path for it
+                grads[f"w{i}"] = np.einsum("i,j->ij", h[0], dz[0], out=w_grads[i])
+            else:
+                grads[f"w{i}"] = np.matmul(h.T, dz, out=w_grads[i])
             grads[f"b{i}"] = dz.sum(axis=0)
             if i > 0:  # nothing reads the gradient of the network input
                 dh = dz @ self.weights[i].T
@@ -232,11 +245,18 @@ class MLPClassifier:
             self.bn_shift[i] -= lr * grads[f"bn_shift{i}"]
 
     def train_minibatch(self, inputs, labels) -> float:
-        """One gradient step on a batch; returns the pre-update loss."""
-        loss, grads, stats = self.loss_and_gradients(
-            inputs, labels,
-            dropout_rng=self.rng if self.config.dropout_keep < 1.0 else None)
-        self.apply_gradients(grads)
+        """One in-place SGD step, w <- (1 - lr*wd)*w - lr*grad, with the weight
+        gradients in reused buffers; returns the pre-update loss."""
+        x, y = self._check_batch(inputs, labels)
+        lr = self.config.learning_rate
+        wd = self.config.weight_decay
+        rng = self.rng if self.config.dropout_keep < 1.0 else None
+        loss, steps, stats = self._gradients(x, y, rng, lr, self._w_grads)
+        if wd:
+            for w in self.weights:
+                w *= 1.0 - lr * wd
+        for name, param in self.named_parameters():
+            param -= steps[name]
         for i, (mu, var) in enumerate(stats):
             self.bn_mean[i] = BN_MOMENTUM * self.bn_mean[i] + (1.0 - BN_MOMENTUM) * mu
             self.bn_var[i] = BN_MOMENTUM * self.bn_var[i] + (1.0 - BN_MOMENTUM) * var

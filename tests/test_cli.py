@@ -180,6 +180,29 @@ class TestRun:
         assert out.read_text() == first
         assert "0 to execute" in capsys.readouterr().out
 
+    def test_resume_refuses_a_changed_configuration(self, workspace, tmp_path, capsys):
+        out = tmp_path / "results.jsonl"
+        base = str(workspace["baseline"])
+
+        def sweep(lr):
+            return str(write_json(tmp_path / f"sweep-{lr}.json", sweep_config(
+                workspace, methods=["queue"], seeds=[0], buffer_sizes=[2],
+                mlp={**MLP, "learning_rate": lr})))
+
+        assert main(["run", "--config", sweep(0.1), "--baseline", base, "--out", str(out)]) == 0
+        first = out.read_bytes()
+        capsys.readouterr()
+        assert main(["run", "--config", sweep(0.5), "--baseline", base, "--out", str(out)]) == 2
+        assert out.read_bytes() == first
+        err = capsys.readouterr().err
+        assert "toy-queue-b2-iid-s0" in err and "--out" in err
+        # a terminal record without a config hash cannot be matched either
+        records = [{k: v for k, v in r.items() if k != "config"} for r in read_jsonl(out)]
+        out.write_text("".join(json.dumps(r) + "\n" for r in records))
+        stripped = out.read_bytes()
+        assert main(["run", "--config", sweep(0.1), "--baseline", base, "--out", str(out)]) == 2
+        assert out.read_bytes() == stripped
+
     def test_resume_finishes_interrupted_run(self, workspace, tmp_path):
         cfg = write_json(tmp_path / "sweep.json",
                          sweep_config(workspace, methods=["queue"],

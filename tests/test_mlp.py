@@ -1,5 +1,7 @@
 """Classifier internals: initialization, forward, gradients, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,54 @@ class TestTraining:
         for _ in range(30):
             last = model.train_minibatch(x, y)
         assert last < first / 2
+
+
+class TestInPlaceStep:
+    """train_minibatch steps in place on gradient buffers it reuses; the
+    reference step is loss_and_gradients followed by apply_gradients."""
+
+    @pytest.mark.parametrize("layer_sizes", [(), (6,), (6, 4)],
+                             ids=["no_hidden", "one_hidden", "two_hidden"])
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    @pytest.mark.parametrize("dropout_keep", [1.0, 0.7])
+    def test_matches_reference_step(self, layer_sizes, activation, dropout_keep):
+        kw = dict(layer_sizes=layer_sizes, activation=activation,
+                  dropout_keep=dropout_keep, weight_decay=0.01)
+        fast, ref = small_model(**kw), small_model(**kw)
+        rng = np.random.default_rng(11)
+        for m in (4, 1, 7, 1, 2):
+            x = rng.standard_normal((m, 5))
+            y = rng.integers(3, size=m)
+            masks = None
+            if dropout_keep < 1.0:
+                masks = np.random.default_rng()
+                masks.bit_generator.state = fast.rng.bit_generator.state
+            fast.train_minibatch(x, y)
+            _, grads, stats = ref.loss_and_gradients(x, y, dropout_rng=masks)
+            ref.apply_gradients(grads)
+            for i, (mu, var) in enumerate(stats):
+                ref.bn_mean[i] = BN_MOMENTUM * ref.bn_mean[i] + (1 - BN_MOMENTUM) * mu
+                ref.bn_var[i] = BN_MOMENTUM * ref.bn_var[i] + (1 - BN_MOMENTUM) * var
+        for (name, a), (_, b) in zip(fast.named_parameters(), ref.named_parameters()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+        for a, b in zip(fast.bn_mean + fast.bn_var, ref.bn_mean + ref.bn_var):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_step_allocates_nothing_weight_sized(self, m):
+        model = MLPClassifier(MLPConfig(layer_sizes=(256, 32), dropout_keep=0.5,
+                                        weight_decay=0.01), 512, 10)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((m, 512))
+        y = rng.integers(10, size=m)
+        model.train_minibatch(x, y)  # warm-up
+        tracemalloc.start()
+        try:
+            model.train_minibatch(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.weights[0].nbytes
 
 
 class TestEvaluateAccuracy:
