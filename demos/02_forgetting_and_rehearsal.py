@@ -9,7 +9,7 @@ Takes about 15 seconds. Run: python demos/02_forgetting_and_rehearsal.py
 import numpy as np
 
 from protostream import (MLPConfig, RunConfig, StreamOrdering, SynthSpec,
-                         omega_score, run_offline_baseline, run_streaming,
+                         execute_run, omega_score, run_offline_baseline,
                          synth_gaussian)
 
 dataset = synth_gaussian(SynthSpec(num_classes=2, dim=10,
@@ -33,7 +33,7 @@ print(f"stream order: 200 samples of class 0, then 200 of class 1\n")
 curves = {}
 for strategy, size in (("no_buffer", 0), ("exstream", 8), ("full", 0)):
     name = f"{strategy}" + (f" (8 per class)" if size else "")
-    curves[name] = run_streaming(dataset, make_config(strategy, size))
+    curves[name] = execute_run(dataset, make_config(strategy, size)).curve
 
 header = "t".rjust(5) + "".join(name.rjust(22) for name in curves)
 print(header)

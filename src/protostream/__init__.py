@@ -9,8 +9,7 @@ from .errors import DataFormatError, NumericError, UsageError
 from .metrics import MuTotalResult, OmegaResult, mu_total, omega_score
 from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline
 from .protocol import (AccuracyCurve, METHODS, RunConfig, RunResult, event_times,
-                       execute_run, rehearsal_update, run_offline_baseline,
-                       run_streaming)
+                       execute_run, rehearsal_update, run_offline_baseline)
 
 __version__ = "0.1.0"
 
@@ -23,6 +22,5 @@ __all__ = [
     "event_times", "execute_run", "fit_offline", "kmeans_lloyd", "l2_normalize",
     "load_feature_matrix", "load_manifest", "mu_total", "omega_score",
     "order_stream", "rehearsal_update", "run_offline_baseline",
-    "run_streaming", "save_feature_matrix", "synth_gaussian", "write_dataset",
-    "write_manifest",
+    "save_feature_matrix", "synth_gaussian", "write_dataset", "write_manifest",
 ]

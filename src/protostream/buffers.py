@@ -636,10 +636,6 @@ class BufferManager:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
         return np.concatenate(blocks, axis=0), np.concatenate(labels)
 
-    def class_size(self, label: int) -> int:
-        buf = self._buffers.get(label)
-        return buf.size if buf is not None else 0
-
     def memory_cost(self) -> int:
         """Total units held: 2 per micro/faded cluster, 1 per stored vector."""
         return int(sum(b.memory_units() for b in self._buffers.values()))

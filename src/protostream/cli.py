@@ -30,6 +30,9 @@ LARGE_LABEL_SET_SIZES = (2, 4, 8, 16)
 LARGE_LABEL_SET_MIN = 100
 # what identifies a run in every record of the results log, besides run_id
 RUN_FIELDS = ("dataset", "method", "buffer_size", "ordering", "seed")
+SWEEP_KEYS = ("dataset", "features", "manifest", "methods", "orderings", "seeds",
+              "normalize", "buffer_sizes", "eval_every", "mlp", "clustream", "hpstream")
+BASELINE_KEYS = ("dataset", "epochs", "normalize", "mlp")
 
 _dataset_cache: dict[tuple, Dataset] = {}
 
@@ -102,14 +105,33 @@ def _load_json(path, what):
         raise UsageError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def _build(cls, payload, what):
+def _check_keys(payload, keys, what):
     if not isinstance(payload, dict):
         raise UsageError(f"{what} must be a JSON object")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
-    unknown = sorted(set(payload) - fields)
+    unknown = sorted(set(payload) - set(keys))
     if unknown:
         raise UsageError(f"unknown {what} keys: {unknown}")
-    return cls(**payload)
+    return payload
+
+
+def _build(cls, payload, what):
+    _check_keys(payload, cls.__dataclass_fields__, what)
+    try:
+        return cls(**payload)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {what}: {exc}") from exc
+
+
+def _convert(convert, value, key):
+    """convert(value); a malformed value is a usage error naming its key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {key!r} value {value!r}: {exc}") from exc
+
+
+def _ints(values):
+    return [int(v) for v in values]
 
 
 def _load_dataset(features_path, manifest_path, normalize, name=None) -> Dataset:
@@ -146,14 +168,15 @@ def cmd_synth(args) -> int:
 # -- baseline ------------------------------------------------------------
 
 def cmd_baseline(args) -> int:
-    payload = _load_json(args.config, "baseline config")
-    mlp_payload = dict(payload.get("mlp", {}))
+    payload = _check_keys(_load_json(args.config, "baseline config"), BASELINE_KEYS,
+                          "baseline config")
+    mlp_payload = _convert(dict, payload.get("mlp", {}), "mlp")
     if args.seed is not None:
         mlp_payload["seed"] = args.seed
     config = _build(MLPConfig, mlp_payload, "mlp config")
-    epochs = int(payload.get("epochs", 20))
+    epochs = _convert(int, payload.get("epochs", 20), "epochs")
     normalize = bool(payload.get("normalize", True))
-    name = payload.get("dataset")
+    name = str(payload["dataset"]) if "dataset" in payload else None
     dataset = _load_dataset(args.features, args.manifest, normalize, name)
     model = MLPClassifier(config, dataset.dim, dataset.num_classes)
     _, accuracy = fit_offline(model, dataset, epochs)
@@ -170,10 +193,8 @@ def cmd_baseline(args) -> int:
 # -- run -----------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    sweep = _load_json(args.config, "sweep config")
-    if not isinstance(sweep, dict):
-        raise UsageError("sweep config must be a JSON object")
-    if args.jobs is not None and args.jobs < 1:
+    sweep = _check_keys(_load_json(args.config, "sweep config"), SWEEP_KEYS, "sweep config")
+    if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
 
     for key in ("dataset", "features", "manifest", "methods", "orderings", "seeds"):
@@ -187,31 +208,32 @@ def cmd_run(args) -> int:
             f"no baseline for dataset {dataset_name!r} in {args.baseline} "
             f"(found {baseline.get('dataset')!r}); run 'protostream baseline' first")
 
-    methods = list(sweep["methods"])
+    methods = _convert(list, sweep["methods"], "methods")
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; expected one of {METHODS}")
-    orderings = list(sweep["orderings"])
+    orderings = _convert(list, sweep["orderings"], "orderings")
     for o in orderings:
         if o not in ORDERING_KINDS:
             raise UsageError(f"unknown ordering {o!r}; expected one of {ORDERING_KINDS}")
-    seeds = [int(s) for s in sweep["seeds"]]
+    seeds = _convert(_ints, sweep["seeds"], "seeds")
     if not methods or not orderings or not seeds:
         raise UsageError("sweep needs at least one method, ordering and seed")
 
     normalize = bool(sweep.get("normalize", True))
-    dataset = _load_dataset(sweep["features"], sweep["manifest"], normalize, dataset_name)
+    features, manifest = str(sweep["features"]), str(sweep["manifest"])
+    dataset = _load_dataset(features, manifest, normalize, dataset_name)
 
     sizes = sweep.get("buffer_sizes")
     if sizes is None:
         sizes = (LARGE_LABEL_SET_SIZES if dataset.num_classes >= LARGE_LABEL_SET_MIN
                  else SMALL_LABEL_SET_SIZES)
-    sizes = [int(b) for b in sizes]
+    sizes = _convert(_ints, sizes, "buffer_sizes")
     if any(b < 1 for b in sizes):
         raise UsageError("buffer_sizes must be positive")
 
-    eval_every = int(sweep.get("eval_every", 1))
-    mlp_payload = dict(sweep.get("mlp", {}))
+    eval_every = _convert(int, sweep.get("eval_every", 1), "eval_every")
+    mlp_payload = _convert(dict, sweep.get("mlp", {}), "mlp")
     clustream = sweep.get("clustream")
     hpstream = sweep.get("hpstream")
 
@@ -225,8 +247,8 @@ def cmd_run(args) -> int:
                     tasks.append({
                         "run_id": run_id,
                         "dataset": dataset_name,
-                        "features": str(sweep["features"]),
-                        "manifest": str(sweep["manifest"]),
+                        "features": features,
+                        "manifest": manifest,
                         "normalize": normalize,
                         "method": method,
                         "buffer_size": b,
@@ -237,6 +259,9 @@ def cmd_run(args) -> int:
                         "clustream": clustream,
                         "hpstream": hpstream,
                     })
+    # a bad setting of any run fails the sweep before the first run executes
+    for task in tasks:
+        _run_config(task)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -311,12 +336,10 @@ def _write_records(log, records):
     log.flush()
 
 
-def _execute_task(task) -> list[dict]:
-    dataset = _load_dataset(task["features"], task["manifest"],
-                            task["normalize"], task["dataset"])
+def _run_config(task) -> RunConfig:
     mlp_payload = dict(task["mlp"])
     mlp_payload["seed"] = task["seed"]
-    config = RunConfig(
+    return RunConfig(
         strategy=task["method"],
         buffer_size=task["buffer_size"],
         ordering=StreamOrdering(task["ordering"], task["seed"]),
@@ -329,7 +352,12 @@ def _execute_task(task) -> list[dict]:
         hpstream=_build(HPStreamParams, task["hpstream"], "hpstream params")
         if task["hpstream"] else None,
     )
-    result = execute_run(dataset, config)
+
+
+def _execute_task(task) -> list[dict]:
+    dataset = _load_dataset(task["features"], task["manifest"],
+                            task["normalize"], task["dataset"])
+    result = execute_run(dataset, _run_config(task))
     identity = {k: task[k] for k in ("run_id",) + RUN_FIELDS}
     records = []
     for t, accuracy in result.curve.events:
@@ -402,11 +430,6 @@ def _per_run_omegas(events, metas, finished, baseline):
         print(f"skipped {len(unfinished)} unfinished run(s) with no terminal record",
               file=sys.stderr)
 
-    baseline_curve = baseline.get("curve")
-    baseline_lookup = None
-    if baseline_curve is not None:
-        baseline_lookup = {int(t): float(a) for t, a in baseline_curve}
-
     omegas = []
     for run_id, pairs in by_run.items():
         if run_id not in finished:
@@ -419,14 +442,7 @@ def _per_run_omegas(events, metas, finished, baseline):
         pairs.sort()
         times = np.array([t for t, _ in pairs])
         values = np.array([a for _, a in pairs])
-        if baseline_lookup is not None:
-            missing = [int(t) for t in times if int(t) not in baseline_lookup]
-            if missing:
-                raise DataFormatError(
-                    f"baseline curve lacks event times {missing[:5]} needed by {run_id}")
-            offline = np.array([baseline_lookup[int(t)] for t in times])
-        else:
-            offline = np.full(len(times), float(baseline["accuracy"]))
+        offline = np.full(len(times), float(baseline["accuracy"]))
         stream = AccuracyCurve(times, values)
         off = AccuracyCurve(times, offline)
         score = omega_score(stream, off, buffer_size=meta["buffer_size"])

@@ -9,8 +9,7 @@ where batch variance would be zero.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,37 +272,6 @@ class MLPClassifier:
             out.append((f"bn_scale{i}", self.bn_scale[i]))
             out.append((f"bn_shift{i}", self.bn_shift[i]))
         return out
-
-    # -- persistence ---------------------------------------------------
-
-    def save(self, path):
-        """Checkpoint parameters, running stats, config and RNG state."""
-        meta = {
-            "config": asdict(self.config),
-            "dim": self.dim,
-            "num_classes": self.num_classes,
-            "rng_state": self.rng.bit_generator.state,
-        }
-        arrays = dict(self.named_parameters())
-        for i in range(self.num_hidden):
-            arrays[f"bn_mean{i}"] = self.bn_mean[i]
-            arrays[f"bn_var{i}"] = self.bn_var[i]
-        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-
-    @classmethod
-    def load(cls, path) -> "MLPClassifier":
-        with np.load(path) as blob:
-            meta = json.loads(bytes(blob["meta"]).decode())
-            cfg = meta["config"]
-            cfg["layer_sizes"] = tuple(cfg["layer_sizes"])
-            model = cls(MLPConfig(**cfg), meta["dim"], meta["num_classes"])
-            model.rng.bit_generator.state = meta["rng_state"]
-            for name, param in model.named_parameters():
-                param[...] = blob[name]
-            for i in range(model.num_hidden):
-                model.bn_mean[i] = blob[f"bn_mean{i}"].copy()
-                model.bn_var[i] = blob[f"bn_var{i}"].copy()
-        return model
 
 
 def evaluate_accuracy(model: MLPClassifier, inputs, labels) -> float:

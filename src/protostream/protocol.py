@@ -72,6 +72,8 @@ class RunConfig:
             raise UsageError("eval_every must be at least 1")
         if self.strategy in BOUNDED_STRATEGIES and self.buffer_size < 1:
             raise UsageError("bounded strategies need buffer_size >= 1")
+        if self.strategy == "exstream" and self.buffer_size < 2:
+            raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
 
 
 def event_times(num_samples: int, eval_every: int) -> list[int]:
@@ -92,44 +94,6 @@ def rehearsal_update(model: MLPClassifier, manager: BufferManager,
     vectors, labels = manager.contents()
     if len(vectors):
         train_epoch(model, vectors, labels, shuffle_rng)
-
-
-def run_streaming(dataset: Dataset, config: RunConfig) -> AccuracyCurve:
-    """Single pass over the ordered train stream with rehearsal after
-    every sample; evaluates on the test split at each event time."""
-    return _stream(dataset, config)[0]
-
-
-def _stream(dataset, config):
-    """The one streaming loop; returns the curve and the final memory cost.
-
-    no_buffer has no buffer manager: each step trains on the arriving
-    sample alone (batch norm falls back to running statistics), and the
-    memory cost is 0.
-    """
-    x, y = dataset.train_arrays()
-    xt, yt = dataset.test_arrays()
-    order = order_stream(dataset, config.ordering)
-    model = MLPClassifier(config.mlp, dataset.dim, dataset.num_classes)
-    manager = None
-    if config.strategy != "no_buffer":
-        manager = BufferManager(config.strategy, config.buffer_size, dataset.num_classes,
-                                seed=config.buffer_seed,
-                                clustream=config.clustream, hpstream=config.hpstream)
-    shuffle_rng = np.random.default_rng([config.mlp.seed, 3])
-    events = set(event_times(len(order), config.eval_every))
-    times, values = [], []
-    for t, idx in enumerate(order, start=1):
-        if manager is None:
-            model.train_minibatch(x[idx:idx + 1], y[idx:idx + 1])
-        else:
-            manager.insert(x[idx], int(y[idx]), t)
-            rehearsal_update(model, manager, shuffle_rng)
-        if t in events:
-            times.append(t)
-            values.append(evaluate_accuracy(model, xt, yt))
-    cost = 0 if manager is None else manager.memory_cost()
-    return AccuracyCurve(np.array(times), np.array(values)), cost
 
 
 def run_offline_baseline(dataset: Dataset, config: RunConfig,
@@ -153,8 +117,36 @@ class RunResult:
 
 
 def execute_run(dataset: Dataset, config: RunConfig) -> RunResult:
-    """Run one method end to end, timing it and reading off the final
-    buffer memory cost (0 for no_buffer)."""
+    """The one streaming loop: a single pass over the ordered train stream
+    with rehearsal after every sample, evaluating on the test split at each
+    event time; timed end to end, with the final buffer memory cost.
+
+    no_buffer has no buffer manager: each step trains on the arriving
+    sample alone (batch norm falls back to running statistics), and the
+    memory cost is 0.
+    """
     start = time.perf_counter()
-    curve, cost = _stream(dataset, config)
+    x, y = dataset.train_arrays()
+    xt, yt = dataset.test_arrays()
+    order = order_stream(dataset, config.ordering)
+    model = MLPClassifier(config.mlp, dataset.dim, dataset.num_classes)
+    manager = None
+    if config.strategy != "no_buffer":
+        manager = BufferManager(config.strategy, config.buffer_size, dataset.num_classes,
+                                seed=config.buffer_seed,
+                                clustream=config.clustream, hpstream=config.hpstream)
+    shuffle_rng = np.random.default_rng([config.mlp.seed, 3])
+    events = set(event_times(len(order), config.eval_every))
+    times, values = [], []
+    for t, idx in enumerate(order, start=1):
+        if manager is None:
+            model.train_minibatch(x[idx:idx + 1], y[idx:idx + 1])
+        else:
+            manager.insert(x[idx], int(y[idx]), t)
+            rehearsal_update(model, manager, shuffle_rng)
+        if t in events:
+            times.append(t)
+            values.append(evaluate_accuracy(model, xt, yt))
+    cost = 0 if manager is None else manager.memory_cost()
+    curve = AccuracyCurve(np.array(times), np.array(values))
     return RunResult(curve, cost, time.perf_counter() - start)

@@ -23,9 +23,9 @@ import pytest
 from protostream import (AccuracyCurve, CluStreamParams, HPStreamParams,
                          MLPClassifier, MLPConfig, OmegaResult, RunConfig,
                          StreamOrdering, SynthSpec, assign_projected_dims,
-                         fit_offline, load_feature_matrix, load_manifest,
-                         mu_total, omega_score, run_offline_baseline,
-                         run_streaming, synth_gaussian)
+                         execute_run, fit_offline, load_feature_matrix,
+                         load_manifest, mu_total, omega_score,
+                         run_offline_baseline, synth_gaussian)
 from protostream.buffers import (BOUNDED_STRATEGIES, CluStreamBuffer,
                                  ExStreamBuffer, HPStreamBuffer,
                                  OnlineKMeansBuffer, QueueBuffer,
@@ -249,12 +249,12 @@ def test_criterion_5_forgetting_gap():
         base_cfg = RunConfig("full", 0, StreamOrdering("class_iid", seed), mlp,
                              eval_every=10)
         off_curve, _ = run_offline_baseline(ds, base_cfg, epochs=20)
-        full = run_streaming(ds, RunConfig("full", 0,
-                                           StreamOrdering("class_iid", seed), mlp,
-                                           eval_every=10, buffer_seed=seed))
-        none = run_streaming(ds, RunConfig("no_buffer", 0,
-                                           StreamOrdering("class_iid", seed), mlp,
-                                           eval_every=10, buffer_seed=seed))
+        full = execute_run(ds, RunConfig("full", 0,
+                                         StreamOrdering("class_iid", seed), mlp,
+                                         eval_every=10, buffer_seed=seed)).curve
+        none = execute_run(ds, RunConfig("no_buffer", 0,
+                                         StreamOrdering("class_iid", seed), mlp,
+                                         eval_every=10, buffer_seed=seed)).curve
         om_full = omega_score(full, off_curve).omega
         om_none = omega_score(none, off_curve).omega
         rows.append((seed, om_none, om_full, om_full - om_none))
@@ -277,12 +277,12 @@ def test_criterion_6_generous_budget_parity():
         base_cfg = RunConfig("full", 0, StreamOrdering("class_iid", seed), mlp,
                              eval_every=10)
         off_curve, _ = run_offline_baseline(ds, base_cfg, epochs=20)
-        ex = run_streaming(ds, RunConfig("exstream", budget,
+        ex = execute_run(ds, RunConfig("exstream", budget,
+                                       StreamOrdering("class_iid", seed), mlp,
+                                       eval_every=10, buffer_seed=seed)).curve
+        full = execute_run(ds, RunConfig("full", 0,
                                          StreamOrdering("class_iid", seed), mlp,
-                                         eval_every=10, buffer_seed=seed))
-        full = run_streaming(ds, RunConfig("full", 0,
-                                           StreamOrdering("class_iid", seed), mlp,
-                                           eval_every=10, buffer_seed=seed))
+                                         eval_every=10, buffer_seed=seed)).curve
         diff = abs(omega_score(ex, off_curve, budget).omega
                    - omega_score(full, off_curve).omega)
         worst = max(worst, diff)

@@ -9,8 +9,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import protostream.protocol as P
-from protostream import MLPConfig, RunConfig, StreamOrdering, SynthSpec, synth_gaussian
+from protostream import (Dataset, LabeledSample, MLPConfig, RunConfig, StreamOrdering,
+                         SynthSpec, l2_normalize, omega_score, synth_gaussian)
+from protostream.buffers import ExStreamBuffer
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -45,3 +49,30 @@ def test_streaming_and_offline_spans_are_recorded():
     for span in ("mlp.train_minibatch", "buffers.insert.exstream",
                  "protocol.rehearsal_update", "mlp.fit_offline"):
         assert span in names, span
+
+
+def test_workload_call_shapes():
+    """The constructions perfbench/workloads.py makes with the package's
+    public names, called the way it calls them."""
+    raw = synth_gaussian(SynthSpec(3, 6, 12, 4, class_mean_separation=6.0, seed=0))
+
+    def norm(samples):
+        return [LabeledSample(l2_normalize(s.features), s.class_label, s.instance_id,
+                              s.frame_index, s.split) for s in samples]
+    ds = Dataset(norm(raw.train), norm(raw.test), raw.num_classes, raw.dim, raw.name)
+    assert sorted({s.class_label for s in ds.train}) == [0, 1, 2]
+    config = RunConfig("exstream", 4, StreamOrdering("class_iid", 0),
+                       MLPConfig(layer_sizes=(8,), learning_rate=0.1, batch_size=8),
+                       eval_every=12, buffer_seed=0, dataset_name="bench")
+    result = P.execute_run(ds, config)
+    offline_curve, _ = P.run_offline_baseline(ds, config, 2)
+    assert [t for t, _ in result.curve.events] == [12, 24, 36]
+    assert result.memory_cost == 3 * 4 and result.wall_clock_s > 0
+    assert 0 <= omega_score(result.curve, offline_curve, config.buffer_size).omega
+
+    store = ExStreamBuffer(4)
+    x, _ = ds.train_arrays()
+    for t, row in enumerate(x[:6], start=1):
+        store.insert(row, t)
+    assert store.vectors().shape == (4, ds.dim) and store.counts().sum() == 6
+    np.testing.assert_allclose(store.counts() @ store.vectors(), x[:6].sum(axis=0))

@@ -525,8 +525,8 @@ class TestBufferManager:
         mgr = BufferManager("queue", 2, num_classes=2)
         for i in range(10):
             mgr.insert([float(i)], i % 2, i)
-        assert mgr.class_size(0) == 2 and mgr.class_size(1) == 2
         vecs, labels = mgr.contents()
+        assert (labels == 0).sum() == 2 and (labels == 1).sum() == 2
         assert vecs.shape == (4, 1)
 
     def test_memory_cost_vector_strategies(self):
@@ -559,8 +559,8 @@ class TestBufferManager:
             if i in (15, 16, 17, 31, 32, 64, 100):  # on and around array doublings
                 np.testing.assert_array_equal(mgr.contents()[0], rows[: i + 1])
         assert mgr.memory_cost() == 150
-        assert mgr.class_size(0) == 150
         vecs, labels = mgr.contents()
+        assert (labels == 0).sum() == 150
         np.testing.assert_array_equal(vecs, rows)  # arrival order
         np.testing.assert_array_equal(labels, np.zeros(150))
 

@@ -120,6 +120,23 @@ class TestBaseline:
         main(["synth", "--config", str(cfg), "--seed", "7", "--out", str(fresh)])
         assert again == baseline(fresh, tmp_path / "fresh7.json")
 
+    def baseline_exit(self, ws, tmp_path, payload):
+        cfg = write_json(tmp_path / "b.json", payload)
+        return main(["baseline", "--features", str(ws["features"]),
+                     "--manifest", str(ws["manifest"]), "--config", str(cfg),
+                     "--out", str(tmp_path / "base.json")])
+
+    def test_unknown_config_key(self, workspace, tmp_path, capsys):
+        payload = {"dataset": "toy", "epoch": 1, "mlp": MLP}
+        assert self.baseline_exit(workspace, tmp_path, payload) == 2
+        assert "epoch" in capsys.readouterr().err
+        assert not (tmp_path / "base.json").exists()
+
+    def test_malformed_config_value(self, workspace, tmp_path, capsys):
+        payload = {"dataset": "toy", "epochs": "many", "mlp": MLP}
+        assert self.baseline_exit(workspace, tmp_path, payload) == 2
+        assert "epochs" in capsys.readouterr().err
+
     def test_seed_override_recorded(self, workspace, tmp_path):
         cfg = write_json(tmp_path / "b.json", {"dataset": "toy", "epochs": 1, "mlp": MLP})
         out = tmp_path / "base.json"
@@ -270,6 +287,37 @@ class TestRun:
                      "--out", str(tmp_path / "r.jsonl")]) == 2
         assert "methods" in capsys.readouterr().err
 
+    def run_exit(self, ws, tmp_path, **overrides):
+        cfg = write_json(tmp_path / "sweep.json", sweep_config(ws, **overrides))
+        return main(["run", "--config", str(cfg), "--baseline", str(ws["baseline"]),
+                     "--out", str(tmp_path / "r.jsonl")])
+
+    def test_bad_run_fails_the_sweep_before_any_run(self, workspace, tmp_path, capsys):
+        """exstream cannot run at one slot; the queue runs listed before it
+        must not execute either."""
+        code = self.run_exit(workspace, tmp_path, methods=["queue", "exstream"],
+                             buffer_sizes=[1])
+        assert code == 2
+        assert "exstream needs capacity >= 2" in capsys.readouterr().err
+        log = tmp_path / "r.jsonl"
+        assert not log.exists() or log.read_text() == ""
+
+    def test_unknown_sweep_key(self, workspace, tmp_path, capsys):
+        assert self.run_exit(workspace, tmp_path, buffer_size=[4]) == 2
+        assert "buffer_size" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("seeds", ["zero"], "seeds"),
+        ("eval_every", "often", "eval_every"),
+        ("mlp", {**MLP, "layer_sizes": ["a"]}, "mlp config"),
+        ("features", 5, "features"),
+    ], ids=["seeds", "eval_every", "layer_sizes", "features"])
+    def test_malformed_sweep_value(self, workspace, tmp_path, capsys, key, value, named):
+        assert self.run_exit(workspace, tmp_path, **{key: value}) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_corrupt_results_log(self, workspace, tmp_path):
         cfg = write_json(tmp_path / "sweep.json", sweep_config(workspace))
         out = tmp_path / "results.jsonl"
@@ -383,21 +431,6 @@ class TestReport:
     def test_no_finished_run(self, tmp_path):
         rows = [("queue", 2, 0, [(30, 1.0), (60, 1.0)])]
         code, _ = self.run_report(tmp_path, rows, unfinished={("queue", 2, 0)})
-        assert code == 3
-
-    def test_baseline_curve_lookup(self, tmp_path):
-        rows = [("queue", 2, 0, [(30, 0.4), (60, 0.9)])]
-        baseline = {"dataset": "toy", "accuracy": 0.9, "seed": 0, "epochs": 1,
-                    "curve": [[30, 0.8], [60, 0.9]]}
-        _, out = self.run_report(tmp_path, rows, baseline)
-        row = next(r for r in self.read_table(out) if r["buffer_size"] == "2")
-        assert row["omega"] == "0.750"  # (0.4/0.8 + 0.9/0.9) / 2
-
-    def test_baseline_curve_missing_time(self, tmp_path):
-        rows = [("queue", 2, 0, [(30, 0.4), (60, 0.9)])]
-        baseline = {"dataset": "toy", "accuracy": 0.9, "seed": 0, "epochs": 1,
-                    "curve": [[30, 0.8]]}
-        code, _ = self.run_report(tmp_path, rows, baseline)
         assert code == 3
 
     def test_incomplete_baseline(self, tmp_path):

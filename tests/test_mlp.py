@@ -337,31 +337,3 @@ class TestFitOffline:
             return [p.copy() for _, p in model.named_parameters()]
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)
-
-
-class TestCheckpoint:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        model = small_model(layer_sizes=(6,), dropout_keep=0.8)
-        x = np.random.default_rng(6).standard_normal((4, 5))
-        y = np.array([0, 1, 2, 0])
-        for _ in range(3):
-            model.train_minibatch(x, y)
-        path = tmp_path / "model.npz"
-        model.save(path)
-        clone = MLPClassifier.load(path)
-        np.testing.assert_array_equal(model.forward(x), clone.forward(x))
-        # restored dropout generator continues the same stream
-        model.train_minibatch(x, y)
-        clone.train_minibatch(x, y)
-        for (_, pa), (_, pb) in zip(model.named_parameters(), clone.named_parameters()):
-            np.testing.assert_array_equal(pa, pb)
-
-    def test_load_restores_running_stats(self, tmp_path):
-        model = small_model()
-        model.train_minibatch(np.random.default_rng(7).standard_normal((6, 5)),
-                              [0, 1, 2, 0, 1, 2])
-        path = tmp_path / "m.npz"
-        model.save(path)
-        clone = MLPClassifier.load(path)
-        np.testing.assert_array_equal(model.bn_mean[0], clone.bn_mean[0])
-        np.testing.assert_array_equal(model.bn_var[0], clone.bn_var[0])

@@ -7,7 +7,7 @@ from protostream import (AccuracyCurve, BufferManager, MLPClassifier, MLPConfig,
                          RunConfig, StreamOrdering, SynthSpec, UsageError,
                          evaluate_accuracy, event_times, execute_run,
                          order_stream, rehearsal_update, run_offline_baseline,
-                         run_streaming, synth_gaussian)
+                         synth_gaussian)
 
 
 def stream_dataset(seed=0):
@@ -129,20 +129,20 @@ class TestRehearsalUpdate:
 class TestRunStreaming:
     def test_curve_matches_event_grid(self):
         ds = stream_dataset()
-        curve = run_streaming(ds, stream_config("queue", 8, eval_every=150))
+        curve = execute_run(ds, stream_config("queue", 8, eval_every=150)).curve
         assert curve.times.tolist() == [150, 300, 400]
 
     def test_deterministic(self):
         ds = stream_dataset()
         cfg = stream_config("reservoir", 8)
-        a = run_streaming(ds, cfg)
-        b = run_streaming(ds, cfg)
+        a = execute_run(ds, cfg).curve
+        b = execute_run(ds, cfg).curve
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_ordering_seed_changes_run(self):
         ds = stream_dataset()
-        a = run_streaming(ds, stream_config("queue", 8, ordering="iid", o_seed=0))
-        b = run_streaming(ds, stream_config("queue", 8, ordering="iid", o_seed=1))
+        a = execute_run(ds, stream_config("queue", 8, ordering="iid", o_seed=0)).curve
+        b = execute_run(ds, stream_config("queue", 8, ordering="iid", o_seed=1)).curve
         assert not np.array_equal(a.values, b.values)
 
     def test_no_buffer_forgets_first_class(self):
@@ -165,7 +165,7 @@ class TestRunStreaming:
         scored on the event grid."""
         ds = stream_dataset()
         cfg = stream_config("no_buffer", 0, eval_every=150)
-        curve = run_streaming(ds, cfg)
+        curve = execute_run(ds, cfg).curve
         model = MLPClassifier(cfg.mlp, ds.dim, ds.num_classes)
         x, y = ds.train_arrays()
         xt, yt = ds.test_arrays()
@@ -184,7 +184,7 @@ class TestRunStreaming:
                                       class_mean_separation=10.0, noise_std=1.0,
                                       seed=0))
         cfg = stream_config("full", 0, eval_every=400)
-        curve = run_streaming(ds, cfg)
+        curve = execute_run(ds, cfg).curve
         _, offline = run_offline_baseline(ds, cfg, epochs=20)
         assert abs(curve.values[-1] - offline) <= 0.02
 
@@ -194,8 +194,8 @@ class TestRunStreaming:
         ds = synth_gaussian(SynthSpec(2, 6, 20, 10, instances_per_class=2,
                                       class_mean_separation=5.0, seed=3))
         kw = dict(ordering="iid", eval_every=10, learning_rate=0.1)
-        a = run_streaming(ds, stream_config("exstream", 20, **kw))
-        b = run_streaming(ds, stream_config("full", 0, **kw))
+        a = execute_run(ds, stream_config("exstream", 20, **kw)).curve
+        b = execute_run(ds, stream_config("full", 0, **kw)).curve
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.values, b.values)
 
