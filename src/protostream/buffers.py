@@ -369,12 +369,16 @@ class CluStreamBuffer:
         return self.staging.size if self._n is None else self.capacity
 
 
-def kmeans_lloyd(points, k, rng, max_iter: int = 100, tol: float = 1e-6):
+LLOYD_SWEEPS = 100
+LLOYD_TOL = 1e-6
+
+
+def kmeans_lloyd(points, k, rng):
     """Plain Lloyd's k-means with seeded k-means++ initialization.
 
-    Runs at most max_iter sweeps or until the largest centroid shift drops
-    below tol. Empty clusters are re-seeded from the point farthest from
-    its assigned centroid. Returns (centroids, labels).
+    Runs at most LLOYD_SWEEPS sweeps or until the largest centroid shift
+    drops below LLOYD_TOL. Empty clusters are re-seeded from the point
+    farthest from its assigned centroid. Returns (centroids, labels).
     """
     points = np.asarray(points, dtype=np.float64)
     m = len(points)
@@ -382,7 +386,7 @@ def kmeans_lloyd(points, k, rng, max_iter: int = 100, tol: float = 1e-6):
         raise UsageError(f"k-means needs at least k={k} points, got {m}")
     centers = _kmeans_pp(points, k, rng)
     labels = _assign(points, centers)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_SWEEPS):
         new_centers = centers.copy()
         empty = []
         for j in range(k):
@@ -401,7 +405,7 @@ def kmeans_lloyd(points, k, rng, max_iter: int = 100, tol: float = 1e-6):
         shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         labels = _assign(points, centers)
-        if shift < tol:
+        if shift < LLOYD_TOL:
             break
     # pathological duplicate data can still leave a cluster empty; steal
     # one point per empty cluster from the largest cluster so every
@@ -573,9 +577,7 @@ class BufferManager:
     returns prototypes in deterministic (class, slot) order.
     """
 
-    def __init__(self, strategy: str, capacity: int, num_classes: int, seed: int = 0,
-                 clustream: CluStreamParams | None = None,
-                 hpstream: HPStreamParams | None = None):
+    def __init__(self, strategy: str, capacity: int, num_classes: int, seed: int = 0):
         if strategy not in STRATEGIES:
             raise UsageError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         if num_classes < 1:
@@ -586,8 +588,6 @@ class BufferManager:
         self.capacity = capacity
         self.num_classes = num_classes
         self.seed = seed
-        self.clustream_params = clustream or CluStreamParams()
-        self.hpstream_params = hpstream or HPStreamParams()
         self._buffers: dict[int, object] = {}
         if strategy == "exstream" and capacity < 2:
             raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
@@ -600,9 +600,9 @@ class BufferManager:
             return OnlineKMeansBuffer(self.capacity)
         if s == "clustream":
             rng = np.random.default_rng([self.seed, 5, label])
-            return CluStreamBuffer(self.capacity, self.clustream_params, rng)
+            return CluStreamBuffer(self.capacity, CluStreamParams(), rng)
         if s == "hpstream":
-            return HPStreamBuffer(self.capacity, self.hpstream_params, dim)
+            return HPStreamBuffer(self.capacity, HPStreamParams(), dim)
         if s == "reservoir":
             rng = np.random.default_rng([self.seed, 4, label])
             return ReservoirBuffer(self.capacity, rng)

@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .buffers import CluStreamParams, HPStreamParams
 from .data import (Dataset, ORDERING_KINDS, StreamOrdering, SynthSpec,
                    load_feature_matrix, load_manifest, synth_gaussian, write_dataset)
-from .errors import DataFormatError, NumericError, UsageError
+from .errors import DataFormatError, NumericError, UsageError, require_int
 from .metrics import OmegaResult, mu_total, omega_score
 from .mlp import MLPClassifier, MLPConfig, fit_offline
 from .protocol import METHODS, AccuracyCurve, RunConfig, execute_run
@@ -30,8 +29,9 @@ LARGE_LABEL_SET_SIZES = (2, 4, 8, 16)
 LARGE_LABEL_SET_MIN = 100
 # what identifies a run in every record of the results log, besides run_id
 RUN_FIELDS = ("dataset", "method", "buffer_size", "ordering", "seed")
+RECORD_KEYS = frozenset(("run_id",) + RUN_FIELDS)
 SWEEP_KEYS = ("dataset", "features", "manifest", "methods", "orderings", "seeds",
-              "normalize", "buffer_sizes", "eval_every", "mlp", "clustream", "hpstream")
+              "normalize", "buffer_sizes", "eval_every", "mlp")
 BASELINE_KEYS = ("dataset", "epochs", "normalize", "mlp")
 
 _dataset_cache: dict[tuple, Dataset] = {}
@@ -130,8 +130,15 @@ def _convert(convert, value, key):
         raise UsageError(f"malformed {key!r} value {value!r}: {exc}") from exc
 
 
-def _ints(values):
-    return [int(v) for v in values]
+def _ints(values, key):
+    return [require_int(v, f"{key} entry") for v in _convert(list, values, key)]
+
+
+def _flag(payload, key, default):
+    value = payload.get(key, default)
+    if not isinstance(value, bool):
+        raise UsageError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _load_dataset(features_path, manifest_path, normalize, name=None) -> Dataset:
@@ -174,8 +181,8 @@ def cmd_baseline(args) -> int:
     if args.seed is not None:
         mlp_payload["seed"] = args.seed
     config = _build(MLPConfig, mlp_payload, "mlp config")
-    epochs = _convert(int, payload.get("epochs", 20), "epochs")
-    normalize = bool(payload.get("normalize", True))
+    epochs = require_int(payload.get("epochs", 20), "epochs")
+    normalize = _flag(payload, "normalize", True)
     name = str(payload["dataset"]) if "dataset" in payload else None
     dataset = _load_dataset(args.features, args.manifest, normalize, name)
     model = MLPClassifier(config, dataset.dim, dataset.num_classes)
@@ -216,11 +223,11 @@ def cmd_run(args) -> int:
     for o in orderings:
         if o not in ORDERING_KINDS:
             raise UsageError(f"unknown ordering {o!r}; expected one of {ORDERING_KINDS}")
-    seeds = _convert(_ints, sweep["seeds"], "seeds")
+    seeds = _ints(sweep["seeds"], "seeds")
     if not methods or not orderings or not seeds:
         raise UsageError("sweep needs at least one method, ordering and seed")
 
-    normalize = bool(sweep.get("normalize", True))
+    normalize = _flag(sweep, "normalize", True)
     features, manifest = str(sweep["features"]), str(sweep["manifest"])
     dataset = _load_dataset(features, manifest, normalize, dataset_name)
 
@@ -228,14 +235,12 @@ def cmd_run(args) -> int:
     if sizes is None:
         sizes = (LARGE_LABEL_SET_SIZES if dataset.num_classes >= LARGE_LABEL_SET_MIN
                  else SMALL_LABEL_SET_SIZES)
-    sizes = _convert(_ints, sizes, "buffer_sizes")
+    sizes = _ints(sizes, "buffer_sizes")
     if any(b < 1 for b in sizes):
         raise UsageError("buffer_sizes must be positive")
 
-    eval_every = _convert(int, sweep.get("eval_every", 1), "eval_every")
+    eval_every = require_int(sweep.get("eval_every", 1), "eval_every")
     mlp_payload = _convert(dict, sweep.get("mlp", {}), "mlp")
-    clustream = sweep.get("clustream")
-    hpstream = sweep.get("hpstream")
 
     tasks = []
     for method in methods:
@@ -256,8 +261,6 @@ def cmd_run(args) -> int:
                         "seed": seed,
                         "eval_every": eval_every,
                         "mlp": mlp_payload,
-                        "clustream": clustream,
-                        "hpstream": hpstream,
                     })
     # a bad setting of any run fails the sweep before the first run executes
     for task in tasks:
@@ -295,7 +298,9 @@ def _log_records(path):
 
     Every record ends with a newline, so a last line without one is a
     write cut short by a crash: it is skipped, and ``run`` cuts it off and
-    re-executes its run. A corrupt line anywhere else is an error.
+    re-executes its run. A corrupt line anywhere else is an error, and so is
+    a record that lacks run_id or a RUN_FIELDS key, or an event (a record
+    with ``t``) that lacks its accuracy.
     """
     end = 0
     with open(path, "rb") as fh:
@@ -309,6 +314,10 @@ def _log_records(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}: corrupt results line: {exc}") from exc
+            if not (isinstance(record, dict) and record.keys() >= RECORD_KEYS
+                    and ("t" not in record or "accuracy" in record)):
+                text = line.decode(errors="replace").strip()[:200]
+                raise DataFormatError(f"{path}: not a run record: {text}")
             yield record, end
 
 
@@ -347,10 +356,6 @@ def _run_config(task) -> RunConfig:
         eval_every=task["eval_every"],
         buffer_seed=task["seed"],
         dataset_name=task["dataset"],
-        clustream=_build(CluStreamParams, task["clustream"], "clustream params")
-        if task["clustream"] else None,
-        hpstream=_build(HPStreamParams, task["hpstream"], "hpstream params")
-        if task["hpstream"] else None,
     )
 
 
@@ -408,9 +413,7 @@ def _read_events(path):
     metas: dict[str, dict] = {}
     finished: set[str] = set()
     for record, _ in _log_records(path):
-        run_id = record.get("run_id")
-        if run_id is None:
-            raise DataFormatError(f"{path}: record without run_id")
+        run_id = record["run_id"]
         metas.setdefault(run_id, {k: record[k] for k in RUN_FIELDS})
         if "t" in record:
             events[(run_id, int(record["t"]))] = float(record["accuracy"])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, UsageError
+from .errors import DataFormatError, UsageError, require_int
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
@@ -91,6 +91,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_classes", "dim", "samples_per_class_train",
+                     "samples_per_class_test", "instances_per_class", "seed"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.num_classes < 1 or self.dim < 1:
             raise UsageError("num_classes and dim must be at least 1")
         if self.samples_per_class_train < 1 or self.samples_per_class_test < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, require_int
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -38,7 +38,10 @@ class MLPConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(w) for w in self.layer_sizes))
+        object.__setattr__(self, "layer_sizes",
+                           tuple(require_int(w, "layer_sizes entry") for w in self.layer_sizes))
+        object.__setattr__(self, "batch_size", require_int(self.batch_size, "batch_size"))
+        object.__setattr__(self, "seed", require_int(self.seed, "seed"))
         if any(w < 1 for w in self.layer_sizes):
             raise UsageError("hidden widths must be positive")
         if self.activation not in ACTIVATIONS:
@@ -91,16 +94,11 @@ class MLPClassifier:
 
     # -- forward -------------------------------------------------------
 
-    def forward(self, inputs, train: bool = False) -> np.ndarray:
-        """Class probability rows for a (m, dim) batch.
-
-        By default batch norm uses running statistics and no dropout is
-        applied. With train=True, batches of m >= 2 normalize with their
-        own statistics, and dropout consumes the model's dropout generator.
-        """
-        x = self._check_inputs(inputs)
-        rng = self.rng if train and self.config.dropout_keep < 1.0 else None
-        log_probs, _, _ = self._forward(x, train, rng)
+    def forward(self, inputs) -> np.ndarray:
+        """Class probability rows for a (m, dim) batch: batch norm uses its
+        running statistics, no dropout is applied, and nothing is drawn
+        from the model's generator."""
+        log_probs, _, _ = self._forward(self._check_inputs(inputs), False, None)
         return np.exp(log_probs)
 
     def predict(self, inputs) -> np.ndarray:
@@ -227,21 +225,6 @@ class MLPClassifier:
             if i > 0:  # nothing reads the gradient of the network input
                 dh = dz @ self.weights[i].T
         return loss, grads, stats
-
-    def apply_gradients(self, grads):
-        """One SGD step, w <- w - lr * (g + weight_decay * w); the decay
-        term applies to weight matrices only. grads is not modified."""
-        lr = self.config.learning_rate
-        wd = self.config.weight_decay
-        for i, w in enumerate(self.weights):
-            step = grads[f"w{i}"] + wd * w
-            step *= lr
-            w -= step
-        for i, b in enumerate(self.biases):
-            b -= lr * grads[f"b{i}"]
-        for i in range(self.num_hidden):
-            self.bn_scale[i] -= lr * grads[f"bn_scale{i}"]
-            self.bn_shift[i] -= lr * grads[f"bn_shift{i}"]
 
     def train_minibatch(self, inputs, labels) -> float:
         """One in-place SGD step, w <- (1 - lr*wd)*w - lr*grad, with the weight

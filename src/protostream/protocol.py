@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buffers import (BOUNDED_STRATEGIES, BufferManager, CluStreamParams,
-                      HPStreamParams, STRATEGIES)
+from .buffers import BOUNDED_STRATEGIES, BufferManager, STRATEGIES
 from .data import Dataset, StreamOrdering, order_stream
 from .errors import UsageError
 from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, train_epoch
@@ -62,8 +61,6 @@ class RunConfig:
     eval_every: int = 1
     buffer_seed: int = 0
     dataset_name: str = ""
-    clustream: CluStreamParams | None = None
-    hpstream: HPStreamParams | None = None
 
     def __post_init__(self):
         if self.strategy not in METHODS:
@@ -133,8 +130,7 @@ def execute_run(dataset: Dataset, config: RunConfig) -> RunResult:
     manager = None
     if config.strategy != "no_buffer":
         manager = BufferManager(config.strategy, config.buffer_size, dataset.num_classes,
-                                seed=config.buffer_seed,
-                                clustream=config.clustream, hpstream=config.hpstream)
+                                seed=config.buffer_seed)
     shuffle_rng = np.random.default_rng([config.mlp.seed, 3])
     events = set(event_times(len(order), config.eval_every))
     times, values = [], []

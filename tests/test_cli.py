@@ -132,10 +132,17 @@ class TestBaseline:
         assert "epoch" in capsys.readouterr().err
         assert not (tmp_path / "base.json").exists()
 
-    def test_malformed_config_value(self, workspace, tmp_path, capsys):
-        payload = {"dataset": "toy", "epochs": "many", "mlp": MLP}
+    @pytest.mark.parametrize("key, value, named", [
+        ("epochs", "many", "epochs"),
+        ("epochs", 2.5, "epochs"),
+        ("normalize", "false", "normalize"),
+        ("mlp", {**MLP, "batch_size": 2.5}, "batch_size"),
+    ], ids=["epochs_word", "epochs_fraction", "normalize_string", "batch_size_fraction"])
+    def test_malformed_config_value(self, workspace, tmp_path, capsys, key, value, named):
+        payload = {"dataset": "toy", "epochs": 1, "mlp": MLP, key: value}
         assert self.baseline_exit(workspace, tmp_path, payload) == 2
-        assert "epochs" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "base.json").exists()
 
     def test_seed_override_recorded(self, workspace, tmp_path):
         cfg = write_json(tmp_path / "b.json", {"dataset": "toy", "epochs": 1, "mlp": MLP})
@@ -302,9 +309,14 @@ class TestRun:
         log = tmp_path / "r.jsonl"
         assert not log.exists() or log.read_text() == ""
 
-    def test_unknown_sweep_key(self, workspace, tmp_path, capsys):
-        assert self.run_exit(workspace, tmp_path, buffer_size=[4]) == 2
-        assert "buffer_size" in capsys.readouterr().err
+    @pytest.mark.parametrize("key, value", [
+        ("buffer_size", [4]),
+        ("clustream", {"horizon": 50.0}),
+        ("hpstream", {"decay_rate": 0.1}),
+    ], ids=["buffer_size", "clustream", "hpstream"])
+    def test_unknown_sweep_key(self, workspace, tmp_path, capsys, key, value):
+        assert self.run_exit(workspace, tmp_path, **{key: value}) == 2
+        assert f"unknown sweep config keys: ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
     @pytest.mark.parametrize("key, value, named", [
@@ -312,7 +324,16 @@ class TestRun:
         ("eval_every", "often", "eval_every"),
         ("mlp", {**MLP, "layer_sizes": ["a"]}, "mlp config"),
         ("features", 5, "features"),
-    ], ids=["seeds", "eval_every", "layer_sizes", "features"])
+        ("normalize", "false", "normalize"),
+        ("buffer_sizes", [2.7], "buffer_sizes"),
+        ("buffer_sizes", [True], "buffer_sizes"),
+        ("seeds", [True], "seeds"),
+        ("eval_every", 2.5, "eval_every"),
+        ("mlp", {**MLP, "batch_size": 2.5}, "batch_size"),
+        ("mlp", {**MLP, "layer_sizes": [2.7]}, "layer_sizes"),
+    ], ids=["seeds", "eval_every", "layer_sizes", "features", "normalize_string",
+            "buffer_size_fraction", "buffer_size_bool", "seed_bool",
+            "eval_every_fraction", "batch_size_fraction", "layer_size_fraction"])
     def test_malformed_sweep_value(self, workspace, tmp_path, capsys, key, value, named):
         assert self.run_exit(workspace, tmp_path, **{key: value}) == 2
         assert named in capsys.readouterr().err
@@ -321,10 +342,13 @@ class TestRun:
     def test_corrupt_results_log(self, workspace, tmp_path):
         cfg = write_json(tmp_path / "sweep.json", sweep_config(workspace))
         out = tmp_path / "results.jsonl"
-        out.write_text("{broken\n")
-        assert main(["run", "--config", str(cfg),
-                     "--baseline", str(workspace["baseline"]),
-                     "--out", str(out)]) == 3
+        # unparseable, then parseable but not a run record
+        for line in ("{broken\n", "[1, 2]\n"):
+            out.write_text(line)
+            assert main(["run", "--config", str(cfg),
+                         "--baseline", str(workspace["baseline"]),
+                         "--out", str(out)]) == 3
+            assert out.read_text() == line
 
 
 def event(run_id, meta, t, accuracy):
@@ -443,6 +467,21 @@ class TestReport:
         baseline = {"dataset": "other", "accuracy": 1.0}
         code, _ = self.run_report(tmp_path, rows, baseline)
         assert code == 3
+
+    @pytest.mark.parametrize("line", [
+        {"run_id": "x", "t": 1, "accuracy": 0.5},
+        [1, 2],
+        {"run_id": "toy-queue-b2-iid-s0", "dataset": "toy", "method": "queue",
+         "buffer_size": 2, "ordering": "iid", "seed": 0, "t": 60},
+    ], ids=["no_run_fields", "not_an_object", "event_without_accuracy"])
+    def test_malformed_record(self, tmp_path, capsys, line):
+        code, out = self.run_report(tmp_path, [("queue", 2, 0, [(30, 1.0)])])
+        assert code == 0
+        results = tmp_path / "results.jsonl"
+        results.write_text(results.read_text() + json.dumps(line) + "\n")
+        assert main(["report", "--results", str(results), "--baseline",
+                     str(tmp_path / "base.json"), "--out", str(out)]) == 3
+        assert "not a run record" in capsys.readouterr().err
 
     def test_empty_results(self, tmp_path):
         results = tmp_path / "results.jsonl"

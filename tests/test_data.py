@@ -300,3 +300,15 @@ class TestSynthGaussian:
             SynthSpec(2, 4, 8, 4, noise_std=0.0)
         with pytest.raises(UsageError):
             SynthSpec(2, 4, 2, 4, instances_per_class=3)
+        kw = dict(num_classes=2, dim=4, samples_per_class_train=8,
+                  samples_per_class_test=4, seed=0)
+        for field in ("num_classes", "dim", "samples_per_class_train",
+                      "samples_per_class_test", "instances_per_class", "seed"):
+            for value in (10.5, 2.0, True, "3"):
+                with pytest.raises(UsageError, match=field):
+                    SynthSpec(**{**kw, field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = SynthSpec(np.int64(2), np.int32(4), 8, 4, seed=np.int64(3))
+        assert type(spec.num_classes) is int and type(spec.seed) is int
+        assert synth_gaussian(spec).name == "synth-k2-d4-seed3"

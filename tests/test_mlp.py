@@ -1,4 +1,4 @@
-"""Classifier internals: initialization, forward, gradients, persistence."""
+"""Classifier internals: initialization, forward, gradients, training steps."""
 
 import tracemalloc
 
@@ -18,6 +18,22 @@ def small_model(layer_sizes=(4,), dim=5, num_classes=3, **kw):
     return MLPClassifier(MLPConfig(layer_sizes=layer_sizes, **kw), dim, num_classes)
 
 
+def apply_gradients(model, grads):
+    """The reference SGD step, w <- w - lr * (g + weight_decay * w), with
+    the decay term on weight matrices only; grads is not modified."""
+    lr = model.config.learning_rate
+    wd = model.config.weight_decay
+    for i, w in enumerate(model.weights):
+        step = grads[f"w{i}"] + wd * w
+        step *= lr
+        w -= step
+    for i, b in enumerate(model.biases):
+        b -= lr * grads[f"b{i}"]
+    for i in range(model.num_hidden):
+        model.bn_scale[i] -= lr * grads[f"bn_scale{i}"]
+        model.bn_shift[i] -= lr * grads[f"bn_shift{i}"]
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(UsageError):
@@ -32,6 +48,18 @@ class TestConfig:
             MLPConfig(batch_size=0)
         with pytest.raises(UsageError):
             MLPConfig(weight_decay=-1e-6)
+        for field, value in (("layer_sizes", [2.7]), ("layer_sizes", [True]),
+                             ("layer_sizes", ["8"]), ("batch_size", 2.5),
+                             ("batch_size", 8.0), ("batch_size", "8"),
+                             ("seed", 1.5), ("seed", True)):
+            with pytest.raises(UsageError, match=field):
+                MLPConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = MLPConfig(layer_sizes=np.array([4, 3]), batch_size=np.int64(8),
+                           seed=np.int32(2))
+        assert config.layer_sizes == (4, 3) and type(config.layer_sizes[0]) is int
+        assert type(config.batch_size) is int and type(config.seed) is int
 
     def test_zero_learning_rate_allowed(self):
         assert MLPConfig(learning_rate=0.0).learning_rate == 0.0
@@ -95,9 +123,11 @@ class TestForward:
     def test_train_dropout_draws_fresh_masks(self):
         model = small_model(layer_sizes=(64,), dropout_keep=0.5)
         x = np.random.default_rng(1).standard_normal((4, 5))
-        a = model.forward(x, train=True)
-        b = model.forward(x, train=True)
-        assert not np.array_equal(a, b)
+        y = np.array([0, 1, 2, 0])
+        loss_a, grads_a, _ = model.loss_and_gradients(x, y, dropout_rng=model.rng)
+        loss_b, grads_b, _ = model.loss_and_gradients(x, y, dropout_rng=model.rng)
+        assert loss_a != loss_b
+        assert not np.array_equal(grads_a["w1"], grads_b["w1"])
 
     def test_bad_mode_and_bad_shape(self):
         model = small_model()
@@ -182,14 +212,21 @@ class TestTraining:
             np.testing.assert_array_equal(old, new)
 
     def test_weight_decay_shrinks_weights_only(self):
-        model = small_model(learning_rate=0.5, weight_decay=0.1)
-        w_before = [w.copy() for w in model.weights]
-        model.biases[0][:] = 1.0
-        zero_grads = {name: np.zeros_like(p) for name, p in model.named_parameters()}
-        model.apply_gradients(zero_grads)
-        for old, new in zip(w_before, model.weights):
-            np.testing.assert_array_equal(new, old - 0.5 * (0.1 * old))
-        np.testing.assert_array_equal(model.biases[0], np.ones(4))
+        """One step with and one without decay, from the same weights and
+        batch: they differ by lr * wd * w0 on the weights and not at all
+        elsewhere."""
+        decayed = small_model(learning_rate=0.5, weight_decay=0.1)
+        plain = small_model(learning_rate=0.5)
+        w0 = [w.copy() for w in plain.weights]
+        x = np.random.default_rng(6).standard_normal((4, 5))
+        y = np.array([0, 1, 2, 0])
+        decayed.train_minibatch(x, y)
+        plain.train_minibatch(x, y)
+        for old, a, b in zip(w0, plain.weights, decayed.weights):
+            np.testing.assert_allclose(a - b, 0.5 * 0.1 * old, rtol=0, atol=1e-14)
+        for name in ("b0", "b1", "bn_scale0", "bn_shift0"):
+            np.testing.assert_array_equal(dict(plain.named_parameters())[name],
+                                          dict(decayed.named_parameters())[name])
 
     def test_single_sample_uses_running_stats_without_update(self):
         model = small_model()
@@ -234,7 +271,8 @@ class TestTraining:
 
 class TestInPlaceStep:
     """train_minibatch steps in place on gradient buffers it reuses; the
-    reference step is loss_and_gradients followed by apply_gradients."""
+    reference step is loss_and_gradients followed by this module's
+    apply_gradients."""
 
     @pytest.mark.parametrize("layer_sizes", [(), (6,), (6, 4)],
                              ids=["no_hidden", "one_hidden", "two_hidden"])
@@ -254,7 +292,7 @@ class TestInPlaceStep:
                 masks.bit_generator.state = fast.rng.bit_generator.state
             fast.train_minibatch(x, y)
             _, grads, stats = ref.loss_and_gradients(x, y, dropout_rng=masks)
-            ref.apply_gradients(grads)
+            apply_gradients(ref, grads)
             for i, (mu, var) in enumerate(stats):
                 ref.bn_mean[i] = BN_MOMENTUM * ref.bn_mean[i] + (1 - BN_MOMENTUM) * mu
                 ref.bn_var[i] = BN_MOMENTUM * ref.bn_var[i] + (1 - BN_MOMENTUM) * var
