@@ -623,18 +623,16 @@ class BufferManager:
     def contents(self) -> tuple[np.ndarray, np.ndarray]:
         """All stored prototypes as (vectors, labels), classes in order."""
         blocks = []
-        labels = []
-        for cls in range(self.num_classes):
-            buf = self._buffers.get(cls)
-            if buf is None:
-                continue
+        classes = []
+        for cls, buf in sorted(self._buffers.items()):
             vecs = buf.vectors()
             if len(vecs):
                 blocks.append(vecs)
-                labels.append(np.full(len(vecs), cls, dtype=np.int64))
+                classes.append(cls)
         if not blocks:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        return np.concatenate(blocks, axis=0), np.concatenate(labels)
+        labels = np.repeat(np.array(classes, dtype=np.int64), [len(v) for v in blocks])
+        return np.concatenate(blocks, axis=0), labels
 
     def memory_cost(self) -> int:
         """Total units held: 2 per micro/faded cluster, 1 per stored vector."""

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the integer check that
-raises one.
+"""Exception types shared across the package, and the integer and real
+number checks that raise one.
 
 The command line maps these onto process exit codes: usage errors exit
 with 2, data/format errors with 3, numeric errors with 4.
 """
 
+import math
 import numbers
 
 
@@ -26,3 +27,12 @@ def require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise UsageError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_real(value, what: str) -> float:
+    """value as a float: finite Python and numpy reals pass; bool, str, NaN,
+    +-inf and anything else is a UsageError naming what."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise UsageError(f"{what} must be a finite number, got {value!r}")
+    return float(value)

@@ -9,15 +9,23 @@ where batch variance would be zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UsageError, require_int
+from .errors import NumericError, UsageError, require_int, require_real
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 ACTIVATIONS = ("relu", "elu")
+
+
+def log_softmax(logits):
+    """Row-wise log-softmax of a (m, k) array of finite logits."""
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    return shifted
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,8 @@ class MLPConfig:
                            tuple(require_int(w, "layer_sizes entry") for w in self.layer_sizes))
         object.__setattr__(self, "batch_size", require_int(self.batch_size, "batch_size"))
         object.__setattr__(self, "seed", require_int(self.seed, "seed"))
+        for name in ("dropout_keep", "weight_decay", "learning_rate"):
+            object.__setattr__(self, name, require_real(getattr(self, name), name))
         if any(w < 1 for w in self.layer_sizes):
             raise UsageError("hidden widths must be positive")
         if self.activation not in ACTIVATIONS:
@@ -87,6 +97,8 @@ class MLPClassifier:
         self.bn_shift = [np.zeros(h) for h in hidden]
         self.bn_mean = [np.zeros(h) for h in hidden]
         self.bn_var = [np.ones(h) for h in hidden]
+        # updated in place, so this list of the live arrays stays valid
+        self._params = [p for _, p in self.named_parameters()]
 
     @property
     def num_hidden(self):
@@ -98,12 +110,13 @@ class MLPClassifier:
         """Class probability rows for a (m, dim) batch: batch norm uses its
         running statistics, no dropout is applied, and nothing is drawn
         from the model's generator."""
-        log_probs, _, _ = self._forward(self._check_inputs(inputs), False, None)
-        return np.exp(log_probs)
+        logits, _, _ = self._forward(self._check_inputs(inputs), False, None)
+        return np.exp(log_softmax(logits))
 
     def predict(self, inputs) -> np.ndarray:
-        """Arg-max class per row of forward(inputs); ties go to the lowest index."""
-        return np.argmax(self.forward(inputs), axis=1)
+        """Arg-max class per row of the logits; exact ties go to the lowest index."""
+        logits, _, _ = self._forward(self._check_inputs(inputs), False, None)
+        return logits.argmax(axis=1)
 
     def _check_inputs(self, inputs):
         x = np.asarray(inputs, dtype=np.float64)
@@ -112,13 +125,14 @@ class MLPClassifier:
         return x
 
     def _forward(self, x, train, dropout_rng):
-        """Returns (log-probabilities, caches, batch stats). caches[i] is a
-        tuple that starts with the input of layer i; hidden layers add
-        (zhat, inv, u, a, mask). Batch stats are (mean, var) per hidden layer,
+        """Returns (logits, caches, batch stats). caches[i] is a tuple that
+        starts with the input of layer i; hidden layers add
+        (zhat, inv, a, mask). Batch stats are (mean, var) per hidden layer,
         empty when running statistics were used. Dropout masks are drawn
         from dropout_rng when one is given."""
         keep = self.config.dropout_keep
-        use_batch_stats = train and len(x) >= 2
+        m = len(x)
+        use_batch_stats = train and m >= 2
         h = x
         caches = []
         stats = []
@@ -126,18 +140,22 @@ class MLPClassifier:
         # so numpy's intermediate inf/nan warnings are suppressed
         with np.errstate(invalid="ignore", over="ignore"):
             for i in range(self.num_hidden):
-                z = h @ self.weights[i] + self.biases[i]
-                if use_batch_stats:
-                    mu = z.mean(axis=0)
-                    var = z.var(axis=0)
+                zhat = h @ self.weights[i] + self.biases[i]  # centered, scaled in place
+                if use_batch_stats:  # numpy's mean and var: sums over rows / m
+                    mu = np.add.reduce(zhat, axis=0) / m
+                    zhat -= mu
+                    var = np.add.reduce(zhat * zhat, axis=0) / m
                     stats.append((mu, var))
                 else:
-                    mu = self.bn_mean[i]
+                    zhat -= self.bn_mean[i]
                     var = self.bn_var[i]
                 inv = 1.0 / np.sqrt(var + BN_EPS)
-                zhat = (z - mu) * inv
-                u = self.bn_scale[i] * zhat + self.bn_shift[i]
-                a = self._activate(u)
+                zhat *= inv
+                a = zhat * self.bn_scale[i] + self.bn_shift[i]
+                if self.config.activation == "relu":
+                    np.maximum(a, 0.0, out=a)
+                else:  # elu, alpha = 1
+                    a = np.where(a > 0, a, np.expm1(a))
                 if dropout_rng is not None:
                     mask = (dropout_rng.random(a.shape) < keep) / keep
                     out = a * mask
@@ -146,26 +164,13 @@ class MLPClassifier:
                     out = a
                 if not np.isfinite(out).all():
                     raise NumericError(f"non-finite activation in hidden layer {i}")
-                caches.append((h, zhat, inv, u, a, mask))
+                caches.append((h, zhat, inv, a, mask))
                 h = out
             logits = h @ self.weights[-1] + self.biases[-1]
             if not np.isfinite(logits).all():
                 raise NumericError("non-finite logits in output layer")
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            log_probs = shifted - log_z
         caches.append((h,))
-        return log_probs, caches, stats
-
-    def _activate(self, u):
-        if self.config.activation == "relu":
-            return np.maximum(u, 0.0)
-        return np.where(u > 0, u, np.expm1(u))  # elu, alpha = 1
-
-    def _activate_grad(self, u, a):
-        if self.config.activation == "relu":
-            return (u > 0).astype(np.float64)
-        return np.where(u > 0, 1.0, a + 1.0)
+        return logits, caches, stats
 
     # -- training ------------------------------------------------------
 
@@ -176,52 +181,64 @@ class MLPClassifier:
         (loss, grads dict keyed like named_parameters, batch_stats list).
         """
         x, y = self._check_batch(inputs, labels)
-        return self._gradients(x, y, dropout_rng, 1.0,
-                               [np.empty_like(w) for w in self.weights])
+        loss, grads, stats = self._gradients(x, y, dropout_rng, 1.0,
+                                             [np.empty_like(w) for w in self.weights])
+        return loss, {n: g for (n, _), g in zip(self.named_parameters(), grads)}, stats
 
     def _check_batch(self, inputs, labels):
         x = self._check_inputs(inputs)
         y = np.asarray(labels, dtype=np.int64).ravel()
         if len(y) != len(x) or len(x) == 0:
             raise UsageError("labels must match a non-empty batch")
-        if y.min() < 0 or y.max() >= self.num_classes:
+        if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= self.num_classes:
             raise UsageError("label outside [0, num_classes)")
         return x, y
 
     def _gradients(self, x, y, dropout_rng, scale, w_grads):
         """loss_and_gradients on a checked batch, each gradient times scale
-        (folded into the head error), weight gradient i written to w_grads[i]."""
+        (folded into the head error), weight gradient i written to w_grads[i].
+        The gradients come as a list in named_parameters order."""
         m = len(x)
-        log_probs, caches, stats = self._forward(x, True, dropout_rng)
-        loss = float(-log_probs[np.arange(m), y].mean())
-        if not np.isfinite(loss):
+        logits, caches, stats = self._forward(x, True, dropout_rng)
+        log_probs = log_softmax(logits)
+        rows = np.arange(m)
+        loss = -float(np.add.reduce(log_probs[rows, y]) / m)
+        if not math.isfinite(loss):
             raise NumericError("non-finite training loss")
 
-        grads = {}
-        dz = np.exp(log_probs)
-        dz[np.arange(m), y] -= 1.0
+        nw = len(self.weights)
+        grads = [None] * len(self._params)
+        dz = np.exp(log_probs, out=log_probs)
+        dz[rows, y] -= 1.0
         dz /= m
         dz *= scale
         for i in range(self.num_hidden, -1, -1):
             if i < self.num_hidden:
-                _, zhat, inv, u, a, mask = caches[i]
+                _, zhat, inv, a, mask = caches[i]
                 if mask is not None:
                     dh *= mask
-                du = dh * self._activate_grad(u, a)
-                grads[f"bn_scale{i}"] = (du * zhat).sum(axis=0)
-                grads[f"bn_shift{i}"] = du.sum(axis=0)
-                dzhat = du * self.bn_scale[i]
-                if stats:
-                    dz = (inv / m) * (m * dzhat - dzhat.sum(axis=0)
-                                      - zhat * (dzhat * zhat).sum(axis=0))
+                # dh turns in place into the gradient of the activation's
+                # input (positive exactly where a is), then of zhat
+                if self.config.activation == "relu":
+                    dh *= a > 0
                 else:
-                    dz = dzhat * inv
+                    dh *= np.where(a > 0, 1.0, a + 1.0)
+                grads[2 * nw + 2 * i] = np.add.reduce(dh * zhat, axis=0)  # bn_scale
+                grads[2 * nw + 2 * i + 1] = np.add.reduce(dh, axis=0)  # bn_shift
+                dh *= self.bn_scale[i]
+                if stats:
+                    dz = m * dh
+                    dz -= np.add.reduce(dh, axis=0)
+                    dz -= zhat * np.add.reduce(dh * zhat, axis=0)
+                    dz *= inv / m
+                else:
+                    dz = dh * inv
             h = caches[i][0]
             if m == 1:  # an outer product; matmul takes no BLAS path for it
-                grads[f"w{i}"] = np.einsum("i,j->ij", h[0], dz[0], out=w_grads[i])
+                grads[i] = np.einsum("i,j->ij", h[0], dz[0], out=w_grads[i])
             else:
-                grads[f"w{i}"] = np.matmul(h.T, dz, out=w_grads[i])
-            grads[f"b{i}"] = dz.sum(axis=0)
+                grads[i] = np.matmul(h.T, dz, out=w_grads[i])
+            grads[nw + i] = np.add.reduce(dz, axis=0)
             if i > 0:  # nothing reads the gradient of the network input
                 dh = dz @ self.weights[i].T
         return loss, grads, stats
@@ -237,8 +254,8 @@ class MLPClassifier:
         if wd:
             for w in self.weights:
                 w *= 1.0 - lr * wd
-        for name, param in self.named_parameters():
-            param -= steps[name]
+        for param, step in zip(self._params, steps):
+            param -= step
         for i, (mu, var) in enumerate(stats):
             self.bn_mean[i] = BN_MOMENTUM * self.bn_mean[i] + (1.0 - BN_MOMENTUM) * mu
             self.bn_var[i] = BN_MOMENTUM * self.bn_var[i] + (1.0 - BN_MOMENTUM) * var
@@ -263,7 +280,7 @@ def evaluate_accuracy(model: MLPClassifier, inputs, labels) -> float:
     y = np.asarray(labels, dtype=np.int64).ravel()
     if len(x) == 0 or len(x) != len(y):
         raise UsageError("evaluation needs a non-empty, aligned test set")
-    return float((model.predict(x) == y).mean())
+    return float(np.count_nonzero(model.predict(x) == y) / len(y))
 
 
 def minibatch_slices(total: int, batch_size: int):

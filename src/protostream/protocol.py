@@ -10,7 +10,7 @@ import numpy as np
 
 from .buffers import BOUNDED_STRATEGIES, BufferManager, STRATEGIES
 from .data import Dataset, StreamOrdering, order_stream
-from .errors import UsageError
+from .errors import UsageError, require_int
 from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, train_epoch
 
 METHODS = STRATEGIES + ("no_buffer",)
@@ -63,6 +63,9 @@ class RunConfig:
     dataset_name: str = ""
 
     def __post_init__(self):
+        self.buffer_size = require_int(self.buffer_size, "buffer_size")
+        self.eval_every = require_int(self.eval_every, "eval_every")
+        self.buffer_seed = require_int(self.buffer_seed, "buffer_seed")
         if self.strategy not in METHODS:
             raise UsageError(f"unknown strategy {self.strategy!r}; expected one of {METHODS}")
         if self.eval_every < 1:

@@ -331,9 +331,15 @@ class TestRun:
         ("eval_every", 2.5, "eval_every"),
         ("mlp", {**MLP, "batch_size": 2.5}, "batch_size"),
         ("mlp", {**MLP, "layer_sizes": [2.7]}, "layer_sizes"),
+        ("mlp", {**MLP, "learning_rate": float("nan")}, "learning_rate"),
+        ("mlp", {**MLP, "learning_rate": "0.1"}, "learning_rate"),
+        ("mlp", {**MLP, "weight_decay": float("inf")}, "weight_decay"),
+        ("mlp", {**MLP, "dropout_keep": True}, "dropout_keep"),
     ], ids=["seeds", "eval_every", "layer_sizes", "features", "normalize_string",
             "buffer_size_fraction", "buffer_size_bool", "seed_bool",
-            "eval_every_fraction", "batch_size_fraction", "layer_size_fraction"])
+            "eval_every_fraction", "batch_size_fraction", "layer_size_fraction",
+            "learning_rate_nan", "learning_rate_string", "weight_decay_inf",
+            "dropout_keep_bool"])
     def test_malformed_sweep_value(self, workspace, tmp_path, capsys, key, value, named):
         assert self.run_exit(workspace, tmp_path, **{key: value}) == 2
         assert named in capsys.readouterr().err

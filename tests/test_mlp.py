@@ -55,6 +55,20 @@ class TestConfig:
             with pytest.raises(UsageError, match=field):
                 MLPConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "dropout_keep"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       True, "0.1", None])
+    def test_rejects_non_finite_or_non_real(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            MLPConfig(**{field: value})
+
+    def test_numpy_reals_accepted(self):
+        config = MLPConfig(learning_rate=np.float32(0.5), weight_decay=np.float64(0.01),
+                           dropout_keep=1)
+        assert (config.learning_rate, config.weight_decay, config.dropout_keep) == (
+            0.5, 0.01, 1.0)
+        assert type(config.learning_rate) is float and type(config.dropout_keep) is float
+
     def test_numpy_integers_accepted(self):
         config = MLPConfig(layer_sizes=np.array([4, 3]), batch_size=np.int64(8),
                            seed=np.int32(2))
@@ -148,6 +162,70 @@ class TestForward:
         np.testing.assert_array_equal(preds, [0, 0, 0])
 
 
+class TestPredict:
+    @pytest.mark.parametrize("layer_sizes", [(), (6,), (6, 4)],
+                             ids=["no_hidden", "one_hidden", "two_hidden"])
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_is_argmax_of_forward(self, layer_sizes, activation):
+        """After a few steps, so batch norm runs on statistics other than
+        its initial (0, 1)."""
+        model = small_model(layer_sizes, activation=activation, dropout_keep=0.8)
+        rng = np.random.default_rng(13)
+        for m in (8, 1, 5, 8):
+            model.train_minibatch(rng.standard_normal((m, 5)), rng.integers(3, size=m))
+        for mean, var in zip(model.bn_mean, model.bn_var):
+            assert (mean != 0).all() and (var != 1).all()
+        x = rng.standard_normal((200, 5)) * 3
+        np.testing.assert_array_equal(model.predict(x), np.argmax(model.forward(x), axis=1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("layer, where", [(0, "hidden layer 0"), (1, "hidden layer 1"),
+                                              (2, "output layer")])
+    def test_non_finite_weight_raises(self, layer, where, value):
+        model = small_model((4, 3))
+        model.weights[layer][0, 0] = value
+        with pytest.raises(NumericError, match=where):
+            model.predict(np.ones((3, 5)))
+
+
+def central_difference_error(model, x, y, dropout_seed=None):
+    """Worst relative gap between loss_and_gradients and central differences
+    (eps 1e-6) over every parameter entry. With dropout_seed, each loss is
+    evaluated under the dropout masks of a generator freshly seeded with it.
+    For relu, every activation input of the batch must lie further from the
+    kink at 0 than an eps-perturbation can move it. Every parameter must get
+    a non-zero gradient somewhere, so that no layer is checked vacuously."""
+    def masks():
+        return None if dropout_seed is None else np.random.default_rng(dropout_seed)
+
+    def loss_grads():
+        loss, grads, _ = model.loss_and_gradients(x, y, dropout_rng=masks())
+        return loss, grads
+    if model.config.activation == "relu":
+        _, caches, _ = model._forward(np.asarray(x, dtype=np.float64), True, masks())
+        for i, cache in enumerate(caches[:-1]):
+            u = cache[1] * model.bn_scale[i] + model.bn_shift[i]
+            assert np.abs(u).min() > 1e-3, f"hidden layer {i} input near the relu kink"
+    _, grads = loss_grads()
+    for name, g in grads.items():
+        assert np.any(g), f"{name} has an all-zero gradient"
+    eps = 1e-6
+    worst = 0.0
+    for name, param in model.named_parameters():
+        flat = param.reshape(-1)
+        for idx in range(flat.size):
+            keep = flat[idx]
+            flat[idx] = keep + eps
+            up, _ = loss_grads()
+            flat[idx] = keep - eps
+            dn, _ = loss_grads()
+            flat[idx] = keep
+            num = (up - dn) / (2 * eps)
+            ana = grads[name].reshape(-1)[idx]
+            worst = max(worst, abs(num - ana) / max(1.0, abs(num) + abs(ana)))
+    return worst
+
+
 class TestGradients:
     @pytest.mark.parametrize("layer_sizes", [(), (4,), (4, 3)],
                              ids=["no_hidden", "one_hidden", "two_hidden"])
@@ -177,6 +255,36 @@ class TestGradients:
                 rel = abs(num - ana) / max(1.0, abs(num) + abs(ana))
                 worst = max(worst, rel)
         assert worst < 1e-5
+
+    @pytest.mark.parametrize("layer_sizes", [(4,), (4, 3)],
+                             ids=["one_hidden", "two_hidden"])
+    def test_central_difference_check_relu(self, layer_sizes):
+        """relu on a batch whose activation inputs stay clear of the kink."""
+        model = small_model(layer_sizes, activation="relu")
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((8, 5))
+        y = rng.integers(3, size=8)
+        assert central_difference_error(model, x, y) < 1e-5
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_central_difference_check_batch_of_one(self, activation):
+        """A single row: batch norm runs on its running statistics (moved
+        off (0, 1) by two steps first) and the weight gradient is an outer
+        product."""
+        model = small_model((4, 3), activation=activation)
+        rng = np.random.default_rng(10)
+        for _ in range(2):
+            model.train_minibatch(rng.standard_normal((6, 5)), rng.integers(3, size=6))
+        x = rng.standard_normal((1, 5))
+        assert central_difference_error(model, x, [2]) < 1e-5
+
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_central_difference_check_fixed_dropout_mask(self, activation):
+        model = small_model((4, 3), activation=activation, dropout_keep=0.6)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((8, 5))
+        y = rng.integers(3, size=8)
+        assert central_difference_error(model, x, y, dropout_seed=21) < 1e-5
 
     def test_loss_and_gradients_is_pure(self):
         model = small_model()

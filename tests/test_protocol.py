@@ -79,6 +79,25 @@ class TestRunConfig:
         with pytest.raises(UsageError, match="eval_every"):
             stream_config("queue", 4, eval_every=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("buffer_size", 2.7), ("buffer_size", True), ("buffer_size", "4"),
+        ("eval_every", 2.5), ("eval_every", 2.0), ("buffer_seed", 1.5),
+        ("buffer_seed", False),
+    ])
+    def test_rejects_non_integers(self, field, value):
+        kw = dict(buffer_size=4, eval_every=1, buffer_seed=0)
+        kw[field] = value
+        with pytest.raises(UsageError, match=field):
+            RunConfig("queue", kw.pop("buffer_size"), StreamOrdering("iid", 0),
+                      MLPConfig(), **kw)
+
+    def test_numpy_integers_stored_as_int(self):
+        config = RunConfig("queue", np.int64(4), StreamOrdering("iid", 0), MLPConfig(),
+                           eval_every=np.int32(2), buffer_seed=np.uint8(3))
+        assert (config.buffer_size, config.eval_every, config.buffer_seed) == (4, 2, 3)
+        assert all(type(v) is int for v in (config.buffer_size, config.eval_every,
+                                            config.buffer_seed))
+
 
 class TestRehearsalUpdate:
     def test_empty_buffer_is_complete_noop(self):
