@@ -1,7 +1,7 @@
 """Streaming classification with memory-bounded per-class rehearsal buffers."""
 
-from .buffers import (BOUNDED_STRATEGIES, BufferManager, CluStreamParams,
-                      HPStreamParams, STRATEGIES, assign_projected_dims, kmeans_lloyd)
+from .buffers import (BOUNDED_STRATEGIES, BufferManager, STRATEGIES, assign_projected_dims,
+                      kmeans_lloyd)
 from .data import (Dataset, LabeledSample, ORDERING_KINDS, StreamOrdering, SynthSpec,
                    l2_normalize, load_feature_matrix, load_manifest, order_stream,
                    save_feature_matrix, synth_gaussian, write_dataset, write_manifest)
@@ -14,12 +14,12 @@ from .protocol import (AccuracyCurve, METHODS, RunConfig, RunResult, event_times
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyCurve", "BOUNDED_STRATEGIES", "BufferManager", "CluStreamParams",
-    "DataFormatError", "Dataset", "HPStreamParams", "LabeledSample", "METHODS",
-    "MLPClassifier", "MLPConfig", "MuTotalResult", "NumericError", "OmegaResult",
-    "ORDERING_KINDS", "RunConfig", "RunResult", "STRATEGIES", "StreamOrdering",
-    "SynthSpec", "UsageError", "assign_projected_dims", "evaluate_accuracy",
-    "event_times", "execute_run", "fit_offline", "kmeans_lloyd", "l2_normalize",
+    "AccuracyCurve", "BOUNDED_STRATEGIES", "BufferManager", "DataFormatError",
+    "Dataset", "LabeledSample", "METHODS", "MLPClassifier", "MLPConfig",
+    "MuTotalResult", "NumericError", "OmegaResult", "ORDERING_KINDS", "RunConfig",
+    "RunResult", "STRATEGIES", "StreamOrdering", "SynthSpec", "UsageError",
+    "assign_projected_dims", "evaluate_accuracy", "event_times", "execute_run",
+    "fit_offline", "kmeans_lloyd", "l2_normalize",
     "load_feature_matrix", "load_manifest", "mu_total", "omega_score",
     "order_stream", "rehearsal_update", "run_offline_baseline",
     "save_feature_matrix", "synth_gaussian", "write_dataset", "write_manifest",

@@ -25,47 +25,29 @@ vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_int
 
 STRATEGIES = ("exstream", "online_kmeans", "clustream", "hpstream", "reservoir", "queue", "full")
 BOUNDED_STRATEGIES = tuple(s for s in STRATEGIES if s != "full")
 
 
-@dataclass(frozen=True)
-class CluStreamParams:
-    """CluStream knobs: eviction horizon, RMS boundary factor, and the
-    staged-point multiple (init runs after init_multiplier * b points)."""
+# CluStream: eviction horizon in samples, RMS boundary factor, and the
+# staging multiple (k-means seeding runs after CLUSTREAM_INIT_MULTIPLIER * b
+# points).
+CLUSTREAM_HORIZON = 1000.0
+CLUSTREAM_BOUNDARY_FACTOR = 2.0
+CLUSTREAM_INIT_MULTIPLIER = 2
 
-    horizon: float = 1000.0
-    boundary_factor: float = 2.0
-    init_multiplier: int = 2
-
-    def __post_init__(self):
-        if self.horizon <= 0 or self.boundary_factor <= 0 or self.init_multiplier < 1:
-            raise UsageError("invalid clustream parameters")
-
-
-@dataclass(frozen=True)
-class HPStreamParams:
-    """HPStream knobs: decay rate (base-2 exponent per unit time), spread
-    radius factor, samples per unit time, and projected dimension count
-    (None means half the feature dimension, at least 1)."""
-
-    decay_rate: float = 0.5
-    spread_radius_factor: float = 2.0
-    speed: float = 200.0
-    projected_dims: int | None = None
-
-    def __post_init__(self):
-        if self.decay_rate < 0 or self.spread_radius_factor <= 0 or self.speed <= 0:
-            raise UsageError("invalid hpstream parameters")
-        if self.projected_dims is not None and self.projected_dims < 1:
-            raise UsageError("projected_dims must be at least 1")
+# HPStream: decay rate (base-2 exponent per unit time), spread radius
+# factor, and samples per unit time. Each cluster projects onto half the
+# feature dimensions, at least one.
+HPSTREAM_DECAY_RATE = 0.5
+HPSTREAM_SPREAD_RADIUS_FACTOR = 2.0
+HPSTREAM_SPEED = 200.0
 
 
 # Cluster-feature formulas; each takes stacked rows or a single row.
@@ -84,10 +66,6 @@ def _relevance_stamp(n, timestamp_sum, timestamp_sq_sum, factor):
     mean = timestamp_sum / n
     var = np.maximum(timestamp_sq_sum / n - mean * mean, 0.0)
     return mean + factor * np.sqrt(var)
-
-
-def _fade(gaps, decay_rate):
-    return np.where(gaps > 0, 2.0 ** (-decay_rate * gaps), 1.0)
 
 
 def _radii(weight, squared, centroid):
@@ -226,50 +204,29 @@ class FullBuffer(SlotStore):
         self.insert(x)
 
 
-@dataclass(frozen=True)
-class MicroCluster:
-    """Read-only snapshot of a CluStream cluster feature vector: count,
-    linear and squared sums, and first/second timestamp moments."""
-
-    n: int
-    linear_sum: np.ndarray
-    squared_sum: np.ndarray
-    timestamp_sum: float
-    timestamp_sq_sum: float
-
-    def centroid(self):
-        return _centroid(self.n, self.linear_sum)
-
-    def rms_radius(self):
-        return float(_rms_radius(self.n, self.linear_sum, self.squared_sum))
-
-    def relevance_stamp(self, factor):
-        return _relevance_stamp(self.n, self.timestamp_sum, self.timestamp_sq_sum, factor)
-
-
 class CluStreamBuffer:
     """Micro-cluster store seeded by k-means over a staging pool.
 
-    Raw points are staged in a slot store until init_multiplier * b
-    arrive, then Lloyd's algorithm (seeded k-means++ start) builds exactly
-    b micro-clusters. A new point joins its nearest cluster when within
-    boundary_factor times the cluster RMS deviation (singletons use the
-    distance to the nearest other centroid); otherwise it opens a new
-    cluster and the structure sheds one cluster, either by evicting a
-    cluster whose relevance stamp fell out of the horizon or by merging the
-    closest pair. Dropping a cluster keeps the others in order.
+    Raw points are staged in a slot store until CLUSTREAM_INIT_MULTIPLIER
+    times b arrive, then Lloyd's algorithm (seeded k-means++ start) builds
+    exactly b micro-clusters. A new point joins its nearest cluster when
+    within CLUSTREAM_BOUNDARY_FACTOR times the cluster RMS deviation
+    (singletons use the distance to the nearest other centroid); otherwise
+    it opens a new cluster and the structure sheds one cluster, either by
+    evicting a cluster whose relevance stamp fell more than
+    CLUSTREAM_HORIZON samples behind, or by merging the closest pair.
+    Dropping a cluster keeps the others in order.
 
     The cluster features live in stacked arrays with one spare row, where
     a new cluster waits until one is shed.
     """
 
-    def __init__(self, capacity: int, params: CluStreamParams, rng: np.random.Generator):
+    def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
             raise UsageError("capacity must be at least 1")
         self.capacity = capacity
-        self.params = params
         self.rng = rng
-        self.staging: SlotStore | None = SlotStore(params.init_multiplier * capacity)
+        self.staging: SlotStore | None = SlotStore(CLUSTREAM_INIT_MULTIPLIER * capacity)
         self._staged_t = np.zeros(self.staging.capacity)
         self._n: np.ndarray | None = None
 
@@ -309,14 +266,14 @@ class CluStreamBuffer:
         return self._n, self._linear, self._squared, self._t_sum, self._t_sq_sum
 
     def _stream_insert(self, x, t):
-        k, params = self.capacity, self.params
+        k = self.capacity
         n, linear, squared, t_sum, t_sq_sum = self._features()
         cents = _centroid(n[:k], linear[:k])
         d2 = ((cents - x) ** 2).sum(axis=1)
         near = int(np.argmin(d2))
         dist = float(np.sqrt(d2[near]))
         if n[near] >= 2:
-            boundary = params.boundary_factor * _rms_radius(n[near], linear[near], squared[near])
+            boundary = CLUSTREAM_BOUNDARY_FACTOR * _rms_radius(n[near], linear[near], squared[near])
         elif k > 1:
             others = ((cents - cents[near]) ** 2).sum(axis=1)
             others[near] = np.inf
@@ -331,9 +288,9 @@ class CluStreamBuffer:
             t_sq_sum[near] += t * t
             return
         n[k], linear[k], squared[k], t_sum[k], t_sq_sum[k] = 1, x, x * x, t, t ** 2
-        stamps = _relevance_stamp(n[:k], t_sum[:k], t_sq_sum[:k], params.boundary_factor)
+        stamps = _relevance_stamp(n[:k], t_sum[:k], t_sq_sum[:k], CLUSTREAM_BOUNDARY_FACTOR)
         victim = int(np.argmin(stamps))
-        if stamps[victim] < t - params.horizon:
+        if stamps[victim] < t - CLUSTREAM_HORIZON:
             self._drop(victim)
             return
         # merge the closest pair (the fresh singleton is a candidate too)
@@ -346,15 +303,6 @@ class CluStreamBuffer:
         k = self.capacity
         for feature in self._features():
             feature[j:k] = feature[j + 1:k + 1]
-
-    @property
-    def clusters(self) -> list[MicroCluster]:
-        """Current micro-clusters as snapshots (empty while staging)."""
-        if self._n is None:
-            return []
-        return [MicroCluster(int(self._n[i]), self._linear[i].copy(), self._squared[i].copy(),
-                             float(self._t_sum[i]), float(self._t_sq_sum[i]))
-                for i in range(self.capacity)]
 
     def vectors(self):
         if self._n is None:
@@ -444,26 +392,6 @@ def _kmeans_pp(points, k, rng):
     return centers
 
 
-@dataclass(frozen=True)
-class FadedCluster:
-    """Read-only snapshot of an HPStream cluster: faded weight and sums,
-    the last absorb time (drives replacement), the last fade time, and the
-    projected-dimension bit vector."""
-
-    weight: float
-    linear_sum: np.ndarray
-    squared_sum: np.ndarray
-    last_update: float
-    last_fade: float
-    bits: np.ndarray
-
-    def centroid(self):
-        return _centroid(self.weight, self.linear_sum)
-
-    def radii(self):
-        return _radii(self.weight, self.squared_sum, self.centroid())
-
-
 def assign_projected_dims(radii: np.ndarray, dims_per_cluster: int) -> np.ndarray:
     """Pick the k*l globally smallest-radius (cluster, dim) pairs.
 
@@ -489,25 +417,24 @@ class HPStreamBuffer:
     """Projected faded-cluster store.
 
     On every insert into a full buffer the clusters fade by
-    2^(-decay_rate * gap), bit vectors are recomputed from per-dimension
-    radii (weight <= 1 means radius 0 everywhere), and the point joins the
+    2^(-HPSTREAM_DECAY_RATE * gap), bit vectors over max(1, dim // 2)
+    dimensions per cluster are recomputed from per-dimension radii
+    (weight <= 1 means radius 0 everywhere), and the point joins the
     cluster with the smallest normalized projected distance if that
-    distance is within spread_radius_factor times the cluster's mean
-    per-set-bit radius; otherwise it replaces the least recently updated
-    cluster. Stream time is the sample index divided by speed.
+    distance is within HPSTREAM_SPREAD_RADIUS_FACTOR times the cluster's
+    mean per-set-bit radius; otherwise it replaces the least recently
+    updated cluster. Stream time is the sample index divided by
+    HPSTREAM_SPEED.
 
     Cluster statistics live in stacked arrays so the whole update is a
     handful of vectorized operations.
     """
 
-    def __init__(self, capacity: int, params: HPStreamParams, dim: int):
+    def __init__(self, capacity: int, dim: int):
         if capacity < 1:
             raise UsageError("capacity must be at least 1")
         self.capacity = capacity
-        self.params = params
-        self.dims = params.projected_dims if params.projected_dims is not None else max(1, dim // 2)
-        if self.dims > dim:
-            raise UsageError(f"projected_dims {self.dims} exceeds feature dimension {dim}")
+        self.dims = max(1, dim // 2)
         self.size = 0
         self._weight = np.zeros(capacity)
         self._linear = np.zeros((capacity, dim))
@@ -525,16 +452,16 @@ class HPStreamBuffer:
         self._bits[i] = False
 
     def insert(self, x, t_sample):
-        t = float(t_sample) / self.params.speed
+        t = float(t_sample) / HPSTREAM_SPEED
         if self.size < self.capacity:
             self._seed(self.size, x, t)
             self.size += 1
             return
-        if self.params.decay_rate > 0:
-            factor = _fade(t - self._last_fade, self.params.decay_rate)
-            self._weight *= factor
-            self._linear *= factor[:, None]
-            self._squared *= factor[:, None]
+        gaps = t - self._last_fade
+        factor = np.where(gaps > 0, 2.0 ** (-HPSTREAM_DECAY_RATE * gaps), 1.0)
+        self._weight *= factor
+        self._linear *= factor[:, None]
+        self._squared *= factor[:, None]
         self._last_fade[:] = t
         means = _centroid(self._weight, self._linear)
         radii = _radii(self._weight, self._squared, means)
@@ -543,7 +470,7 @@ class HPStreamBuffer:
         d2 = (x - means) ** 2
         dists = np.sqrt((d2 * bits).sum(axis=1) / bits.sum(axis=1))
         near = int(np.argmin(dists))
-        limit = self.params.spread_radius_factor * radii[near, bits[near]].mean()
+        limit = HPSTREAM_SPREAD_RADIUS_FACTOR * radii[near, bits[near]].mean()
         if dists[near] <= limit:
             self._weight[near] += 1.0
             self._linear[near] += x
@@ -551,14 +478,6 @@ class HPStreamBuffer:
             self._last_update[near] = t
         else:
             self._seed(int(np.argmin(self._last_update)), x, t)
-
-    @property
-    def clusters(self) -> list[FadedCluster]:
-        """Current clusters as snapshots."""
-        return [FadedCluster(float(self._weight[i]), self._linear[i].copy(),
-                             self._squared[i].copy(), float(self._last_update[i]),
-                             float(self._last_fade[i]), self._bits[i].copy())
-                for i in range(self.size)]
 
     def vectors(self):
         if self.size == 0:
@@ -573,13 +492,16 @@ class BufferManager:
     """Per-class buffers behind one insert/contents interface.
 
     Buffers are created lazily on the first sample of each class so the
-    feature dimension never has to be declared up front. ``contents``
-    returns prototypes in deterministic (class, slot) order.
+    feature dimension never has to be declared up front: the first insert
+    fixes it, and every later sample must be a 1-D vector of that length.
+    ``contents`` returns prototypes in deterministic (class, slot) order.
     """
 
     def __init__(self, strategy: str, capacity: int, num_classes: int, seed: int = 0):
         if strategy not in STRATEGIES:
             raise UsageError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        capacity = require_int(capacity, "capacity")
+        num_classes = require_int(num_classes, "num_classes")
         if num_classes < 1:
             raise UsageError("num_classes must be at least 1")
         if strategy != "full" and capacity < 1:
@@ -588,6 +510,7 @@ class BufferManager:
         self.capacity = capacity
         self.num_classes = num_classes
         self.seed = seed
+        self._dim: int | None = None
         self._buffers: dict[int, object] = {}
         if strategy == "exstream" and capacity < 2:
             raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
@@ -600,9 +523,9 @@ class BufferManager:
             return OnlineKMeansBuffer(self.capacity)
         if s == "clustream":
             rng = np.random.default_rng([self.seed, 5, label])
-            return CluStreamBuffer(self.capacity, CluStreamParams(), rng)
+            return CluStreamBuffer(self.capacity, rng)
         if s == "hpstream":
-            return HPStreamBuffer(self.capacity, HPStreamParams(), dim)
+            return HPStreamBuffer(self.capacity, dim)
         if s == "reservoir":
             rng = np.random.default_rng([self.seed, 4, label])
             return ReservoirBuffer(self.capacity, rng)
@@ -612,12 +535,17 @@ class BufferManager:
 
     def insert(self, x, label: int, t: float):
         """Route one sample into its class buffer at stream time t."""
+        label = require_int(label, "class label")
         if not 0 <= label < self.num_classes:
             raise UsageError(f"class label {label} outside [0, {self.num_classes})")
         x = np.asarray(x, dtype=np.float64)
-        label = int(label)
+        if self._dim is None and x.ndim == 1 and len(x):
+            self._dim = len(x)
+        if x.shape != (self._dim,):
+            raise UsageError(f"sample must be a 1-D vector of length {self._dim or '>= 1'}, "
+                             f"got shape {x.shape}")
         if label not in self._buffers:
-            self._buffers[label] = self._make_buffer(label, x.shape[0])
+            self._buffers[label] = self._make_buffer(label, self._dim)
         self._buffers[label].insert(x, t)
 
     def contents(self) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ import numpy as np
 from .buffers import BOUNDED_STRATEGIES, BufferManager, STRATEGIES
 from .data import Dataset, StreamOrdering, order_stream
 from .errors import UsageError, require_int
-from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, train_epoch
+from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, train_epochs
 
 METHODS = STRATEGIES + ("no_buffer",)
 
@@ -88,12 +88,12 @@ def event_times(num_samples: int, eval_every: int) -> list[int]:
 
 def rehearsal_update(model: MLPClassifier, manager: BufferManager,
                      shuffle_rng: np.random.Generator) -> None:
-    """One shuffled pass over the buffer contents (mlp.train_epoch), so
+    """One shuffled pass over the buffer contents (mlp.train_epochs), so
     each prototype receives exactly one gradient step. An empty buffer is
     a no-op that draws nothing from shuffle_rng."""
     vectors, labels = manager.contents()
     if len(vectors):
-        train_epoch(model, vectors, labels, shuffle_rng)
+        train_epochs(model, vectors, labels, shuffle_rng, 1)
 
 
 def run_offline_baseline(dataset: Dataset, config: RunConfig,

@@ -20,8 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from protostream import (AccuracyCurve, CluStreamParams, HPStreamParams,
-                         MLPClassifier, MLPConfig, OmegaResult, RunConfig,
+from protostream import (AccuracyCurve, MLPClassifier, MLPConfig, OmegaResult, RunConfig,
                          StreamOrdering, SynthSpec, assign_projected_dims,
                          execute_run, fit_offline, load_feature_matrix,
                          load_manifest, mu_total, omega_score,
@@ -46,10 +45,9 @@ def make_buffer(strategy, capacity, seed, label, dim):
     if strategy == "online_kmeans":
         return OnlineKMeansBuffer(capacity)
     if strategy == "clustream":
-        return CluStreamBuffer(capacity, CluStreamParams(),
-                               np.random.default_rng([seed, 5, label]))
+        return CluStreamBuffer(capacity, np.random.default_rng([seed, 5, label]))
     if strategy == "hpstream":
-        return HPStreamBuffer(capacity, HPStreamParams(), dim)
+        return HPStreamBuffer(capacity, dim)
     if strategy == "reservoir":
         return ReservoirBuffer(capacity, np.random.default_rng([seed, 4, label]))
     return QueueBuffer(capacity)

@@ -7,10 +7,11 @@ they share no code with the implementations they check.
 import numpy as np
 import pytest
 
-from protostream import (BufferManager, CluStreamParams, HPStreamParams,
-                         UsageError, assign_projected_dims, kmeans_lloyd)
-from protostream.buffers import (CluStreamBuffer, ExStreamBuffer, HPStreamBuffer,
-                                 OnlineKMeansBuffer, QueueBuffer, ReservoirBuffer)
+from protostream import BufferManager, UsageError, assign_projected_dims, kmeans_lloyd
+from protostream.buffers import (CLUSTREAM_HORIZON, HPSTREAM_SPEED, CluStreamBuffer,
+                                 ExStreamBuffer, HPStreamBuffer, OnlineKMeansBuffer,
+                                 QueueBuffer, ReservoirBuffer, _centroid, _radii,
+                                 _relevance_stamp, _rms_radius)
 
 
 # ---------------------------------------------------------------- simulators
@@ -72,6 +73,12 @@ def sim_projected_bits(radii, per_cluster):
         if not any(bits[i]):
             bits[i][min(range(d), key=lambda j: (radii[i][j], j))] = True
     return bits
+
+
+def faded_centroid_radii(buf, i):
+    """Centroid and per-dimension radii of HPStream cluster i."""
+    centroid = _centroid(buf._weight[i], buf._linear[i])
+    return centroid, _radii(buf._weight[i], buf._squared[i], centroid)
 
 
 def gaussian_stream(n, dim, seed, spread=3.0):
@@ -174,7 +181,7 @@ class TestMicroCluster:
     """Cluster-feature arithmetic, read off capacity-1 CluStream buffers."""
 
     def _buf(self, points):
-        buf = CluStreamBuffer(1, CluStreamParams(), np.random.default_rng(0))
+        buf = CluStreamBuffer(1, np.random.default_rng(0))
         for p, t in points:
             buf.insert(np.array(p), t)
         return buf
@@ -182,31 +189,30 @@ class TestMicroCluster:
     def test_from_point_and_absorb(self):
         # two staged points seed the single cluster with both of them
         buf = self._buf([([1.0, 2.0], 1.0), ([2.0, 3.0], 2.0)])
-        mc = buf.clusters[0]
-        assert mc.n == 2
-        np.testing.assert_array_equal(mc.linear_sum, [3.0, 5.0])
-        np.testing.assert_array_equal(mc.squared_sum, [5.0, 13.0])
-        assert mc.timestamp_sum == 3.0 and mc.timestamp_sq_sum == 5.0
-        np.testing.assert_array_equal(mc.centroid(), [1.5, 2.5])
-        np.testing.assert_allclose(mc.rms_radius(), np.sqrt(0.5))
-        np.testing.assert_allclose(mc.relevance_stamp(2.0), 2.5)
+        n, linear, squared = buf._n[0], buf._linear[0], buf._squared[0]
+        assert n == 2
+        np.testing.assert_array_equal(linear, [3.0, 5.0])
+        np.testing.assert_array_equal(squared, [5.0, 13.0])
+        assert buf._t_sum[0] == 3.0 and buf._t_sq_sum[0] == 5.0
+        np.testing.assert_array_equal(_centroid(n, linear), [1.5, 2.5])
+        np.testing.assert_allclose(_rms_radius(n, linear, squared), np.sqrt(0.5))
+        np.testing.assert_allclose(
+            _relevance_stamp(n, buf._t_sum[0], buf._t_sq_sum[0], 2.0), 2.5)
 
     def test_merge_adds_statistics(self):
         # [10, 0] lies outside the boundary, opens a singleton, and nothing
         # is stale, so the singleton merges into the seeded cluster
         buf = self._buf([([1.0, 1.0], 0.0), ([3.0, 3.0], 2.0), ([10.0, 0.0], 4.0)])
         assert buf.size == 1
-        mc = buf.clusters[0]
-        assert mc.n == 3
-        np.testing.assert_array_equal(mc.linear_sum, [14.0, 4.0])
-        np.testing.assert_array_equal(mc.squared_sum, [110.0, 10.0])
-        assert mc.timestamp_sum == 6.0 and mc.timestamp_sq_sum == 20.0
+        assert buf._n[0] == 3
+        np.testing.assert_array_equal(buf._linear[0], [14.0, 4.0])
+        np.testing.assert_array_equal(buf._squared[0], [110.0, 10.0])
+        assert buf._t_sum[0] == 6.0 and buf._t_sq_sum[0] == 20.0
 
 
 class TestCluStream:
-    def _buf(self, capacity, seed=0, **kw):
-        return CluStreamBuffer(capacity, CluStreamParams(**kw),
-                               np.random.default_rng(seed))
+    def _buf(self, capacity, seed=0):
+        return CluStreamBuffer(capacity, np.random.default_rng(seed))
 
     def test_staging_then_initialize(self):
         buf = self._buf(2)
@@ -225,7 +231,7 @@ class TestCluStream:
             buf.insert(np.array(p), t)
         buf.insert(np.array([0.0, 0.05]), 4)
         assert buf.size == 2
-        assert sum(c.n for c in buf.clusters) == 5
+        assert buf._n[:buf.size].sum() == 5
 
     def test_merge_when_nothing_is_stale(self):
         buf = self._buf(2)
@@ -233,13 +239,13 @@ class TestCluStream:
             buf.insert(np.array(p), t)
         buf.insert(np.array([5.0, 5.0]), 4)  # rejected by both, nothing stale
         assert buf.size == 2
-        assert sum(c.n for c in buf.clusters) == 5
+        assert buf._n[:buf.size].sum() == 5
 
     def test_eviction_outside_horizon(self):
-        buf = self._buf(2, horizon=1000.0)
+        buf = self._buf(2)
         for t, p in enumerate(([0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0])):
             buf.insert(np.array(p), t)
-        buf.insert(np.array([50.0, 50.0]), 3000.0)
+        buf.insert(np.array([50.0, 50.0]), 3 * CLUSTREAM_HORIZON)
         assert buf.size == 2
         got = sorted(buf.vectors().tolist())
         # older group (stamp 1.5) evicted; newer group and fresh singleton stay
@@ -249,11 +255,10 @@ class TestCluStream:
         buf = self._buf(2)
         for t, p in enumerate(([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [8.0, 8.0])):
             buf.insert(np.array(p), t)
-        sizes = sorted(c.n for c in buf.clusters)
-        assert sizes == [1, 3]
+        assert sorted(buf._n[:buf.size].tolist()) == [1, 3]
         # within 11.3 of the singleton at [8, 8], so it absorbs
         buf.insert(np.array([8.5, 8.0]), 4)
-        assert sorted(c.n for c in buf.clusters) == [2, 3]
+        assert sorted(buf._n[:buf.size].tolist()) == [2, 3]
 
     def test_single_cluster_buffer_merges(self):
         buf = self._buf(1)
@@ -262,9 +267,8 @@ class TestCluStream:
         assert buf.initialized and buf.size == 1
         buf.insert(np.array([3.0, 0.0]), 2)  # zero radius rejects, then merge
         assert buf.size == 1
-        mc = buf.clusters[0]
-        assert mc.n == 3
-        np.testing.assert_allclose(mc.centroid(), [1.0, 0.0])
+        assert buf._n[0] == 3
+        np.testing.assert_allclose(_centroid(buf._n[0], buf._linear[0]), [1.0, 0.0])
 
     def test_count_conserved_on_long_stream(self):
         buf = self._buf(4)
@@ -272,8 +276,8 @@ class TestCluStream:
         for t, x in enumerate(stream):
             buf.insert(x, t)
         assert buf.initialized
-        assert sum(c.n for c in buf.clusters) == 300
-        total = sum(c.linear_sum for c in buf.clusters)
+        assert buf._n[:buf.size].sum() == 300
+        total = buf._linear[:buf.size].sum(axis=0)
         np.testing.assert_allclose(total, stream.sum(axis=0), atol=1e-8)
         assert buf.size <= 4
 
@@ -311,55 +315,55 @@ class TestKMeansLloyd:
 # ------------------------------------------------------------------ hpstream
 
 class TestFadedCluster:
-    """Fade and absorb arithmetic, read off HPStream buffers at unit speed,
-    decay rate 0.5 and one projected dimension."""
+    """Fade and absorb arithmetic, read off HPStream buffers over two
+    dimensions (one projected), with times given in units of
+    HPSTREAM_SPEED samples."""
 
     def _buf(self, capacity, points):
-        buf = HPStreamBuffer(capacity, HPStreamParams(speed=1.0, decay_rate=0.5,
-                                                      projected_dims=1), 2)
+        buf = HPStreamBuffer(capacity, 2)
         for p, t in points:
-            buf.insert(np.array(p), t)
+            buf.insert(np.array(p), t * HPSTREAM_SPEED)
         return buf
 
     def test_fade_halves_at_unit_rate(self):
         # 2^(-0.5 * 2) = 0.5 halves the cluster before [2, 0] is absorbed
         # (it matches the centroid on the projected dimension 0)
-        fc = self._buf(1, [([2.0, 4.0], 0.0), ([2.0, 0.0], 2.0)]).clusters[0]
-        assert fc.weight == 0.5 * 1.0 + 1.0
-        np.testing.assert_array_equal(fc.linear_sum, [0.5 * 2.0 + 2.0, 0.5 * 4.0 + 0.0])
-        np.testing.assert_array_equal(fc.squared_sum, [0.5 * 4.0 + 4.0, 0.5 * 16.0 + 0.0])
-        assert fc.last_fade == 2.0 and fc.last_update == 2.0
+        buf = self._buf(1, [([2.0, 4.0], 0.0), ([2.0, 0.0], 2.0)])
+        assert buf._weight[0] == 0.5 * 1.0 + 1.0
+        np.testing.assert_array_equal(buf._linear[0], [0.5 * 2.0 + 2.0, 0.5 * 4.0 + 0.0])
+        np.testing.assert_array_equal(buf._squared[0], [0.5 * 4.0 + 4.0, 0.5 * 16.0 + 0.0])
+        assert buf._last_fade[0] == 2.0 and buf._last_update[0] == 2.0
 
     def test_absorb_after_fade(self):
-        fc = self._buf(1, [([2.0, 4.0], 0.0), ([2.0, 0.0], 2.0)]).clusters[0]
-        assert fc.weight == 1.5
-        np.testing.assert_array_equal(fc.linear_sum, [3.0, 2.0])
-        np.testing.assert_array_equal(fc.squared_sum, [6.0, 8.0])
-        np.testing.assert_array_equal(fc.bits, [True, False])
-        np.testing.assert_allclose(fc.centroid(), [2.0, 4.0 / 3.0])
-        np.testing.assert_allclose(fc.radii(), [0.0, np.sqrt(32.0 / 9.0)])
+        buf = self._buf(1, [([2.0, 4.0], 0.0), ([2.0, 0.0], 2.0)])
+        assert buf._weight[0] == 1.5
+        np.testing.assert_array_equal(buf._linear[0], [3.0, 2.0])
+        np.testing.assert_array_equal(buf._squared[0], [6.0, 8.0])
+        np.testing.assert_array_equal(buf._bits[0], [True, False])
+        centroid, radii = faded_centroid_radii(buf, 0)
+        np.testing.assert_allclose(centroid, [2.0, 4.0 / 3.0])
+        np.testing.assert_allclose(radii, [0.0, np.sqrt(32.0 / 9.0)])
 
     def test_light_cluster_has_zero_radius(self):
         buf = self._buf(2, [([3.0, -1.0], 0.0), ([100.0, 100.0], 0.0)])
-        np.testing.assert_array_equal(buf.clusters[0].radii(), [0.0, 0.0])
-        buf.insert(np.array([100.0, 7.0]), 4.0)  # cluster 1 absorbs it
-        fc = buf.clusters[0]
-        assert fc.weight == 0.25 and fc.last_fade == 4.0
-        np.testing.assert_array_equal(fc.radii(), [0.0, 0.0])
+        np.testing.assert_array_equal(faded_centroid_radii(buf, 0)[1], [0.0, 0.0])
+        buf.insert(np.array([100.0, 7.0]), 4.0 * HPSTREAM_SPEED)  # cluster 1 absorbs it
+        assert buf._weight[0] == 0.25 and buf._last_fade[0] == 4.0
+        np.testing.assert_array_equal(faded_centroid_radii(buf, 0)[1], [0.0, 0.0])
 
     def test_fade_preserves_centroid_and_radii(self):
         # cluster 1 absorbs [1, 1]; the probe at t=0.5 lands in cluster 0,
         # so cluster 1 is only faded
         buf = self._buf(2, [([50.0, 50.0], 0.0), ([1.0, 5.0], 0.0), ([1.0, 1.0], 0.0)])
-        before = buf.clusters[1]
-        assert before.weight == 2.0
-        buf.insert(np.array([50.0, 50.0]), 0.5)
-        after = buf.clusters[1]
-        np.testing.assert_allclose(after.weight, 2.0 * 2.0 ** -0.25)
-        assert after.last_update == 0.0 and after.last_fade == 0.5
-        np.testing.assert_allclose(after.centroid(), before.centroid())
-        np.testing.assert_allclose(after.radii(), before.radii())
-        np.testing.assert_allclose(before.radii(), [0.0, 2.0])
+        assert buf._weight[1] == 2.0
+        centroid, radii = faded_centroid_radii(buf, 1)
+        buf.insert(np.array([50.0, 50.0]), 0.5 * HPSTREAM_SPEED)
+        np.testing.assert_allclose(buf._weight[1], 2.0 * 2.0 ** -0.25)
+        assert buf._last_update[1] == 0.0 and buf._last_fade[1] == 0.5
+        after_centroid, after_radii = faded_centroid_radii(buf, 1)
+        np.testing.assert_allclose(after_centroid, centroid)
+        np.testing.assert_allclose(after_radii, radii)
+        np.testing.assert_allclose(radii, [0.0, 2.0])
 
 
 class TestProjectedDims:
@@ -394,55 +398,46 @@ class TestProjectedDims:
 
 
 class TestHPStream:
-    def _buf(self, capacity, dim, **kw):
-        kw.setdefault("speed", 1.0)
-        kw.setdefault("decay_rate", 0.5)
-        kw.setdefault("projected_dims", 1)
-        return HPStreamBuffer(capacity, HPStreamParams(**kw), dim)
+    """Times are given in units of HPSTREAM_SPEED samples."""
 
     def test_fills_with_singletons(self):
-        buf = self._buf(2, 2)
+        buf = HPStreamBuffer(2, 2)
         buf.insert(np.array([0.0, 0.0]), 0)
-        buf.insert(np.array([10.0, 10.0]), 1)
+        buf.insert(np.array([10.0, 10.0]), 1 * HPSTREAM_SPEED)
         assert buf.size == 2
         np.testing.assert_array_equal(buf.vectors(), [[0.0, 0.0], [10.0, 10.0]])
 
     def test_absorbs_point_equal_on_projected_dims(self):
-        buf = self._buf(2, 2)
+        buf = HPStreamBuffer(2, 2)
         buf.insert(np.array([0.0, 0.0]), 0)
-        buf.insert(np.array([10.0, 10.0]), 1)
+        buf.insert(np.array([10.0, 10.0]), 1 * HPSTREAM_SPEED)
         # bits give cluster 1 only dim 0; [10, -3] matches it there exactly
-        buf.insert(np.array([10.0, -3.0]), 2)
+        buf.insert(np.array([10.0, -3.0]), 2 * HPSTREAM_SPEED)
         f = 2.0 ** -0.5
-        c1 = buf.clusters[1]
-        np.testing.assert_allclose(c1.weight, f + 1.0)
-        np.testing.assert_allclose(c1.linear_sum, [10.0 * f + 10.0, 10.0 * f - 3.0])
-        assert c1.last_update == 2.0
-        np.testing.assert_allclose(c1.centroid()[0], 10.0)
-        radii = c1.radii()
+        np.testing.assert_allclose(buf._weight[1], f + 1.0)
+        np.testing.assert_allclose(buf._linear[1], [10.0 * f + 10.0, 10.0 * f - 3.0])
+        assert buf._last_update[1] == 2.0
+        centroid, radii = faded_centroid_radii(buf, 1)
+        np.testing.assert_allclose(centroid[0], 10.0)
         assert radii[0] == 0.0 and radii[1] > 1.0
 
     def test_outlier_replaces_least_recently_updated(self):
-        buf = self._buf(2, 2)
+        buf = HPStreamBuffer(2, 2)
         buf.insert(np.array([0.0, 0.0]), 0)
-        buf.insert(np.array([10.0, 10.0]), 1)
-        buf.insert(np.array([10.0, -3.0]), 2)   # refreshes cluster 1
-        buf.insert(np.array([50.0, 50.0]), 3)   # too far from anything
-        np.testing.assert_array_equal(buf.clusters[0].linear_sum, [50.0, 50.0])
-        assert buf.clusters[0].weight == 1.0 and buf.clusters[0].last_update == 3.0
-        np.testing.assert_allclose(buf.clusters[1].weight, (2.0 ** -0.5 + 1) * 2.0 ** -0.5)
+        buf.insert(np.array([10.0, 10.0]), 1 * HPSTREAM_SPEED)
+        buf.insert(np.array([10.0, -3.0]), 2 * HPSTREAM_SPEED)   # refreshes cluster 1
+        buf.insert(np.array([50.0, 50.0]), 3 * HPSTREAM_SPEED)   # too far from anything
+        np.testing.assert_array_equal(buf._linear[0], [50.0, 50.0])
+        assert buf._weight[0] == 1.0 and buf._last_update[0] == 3.0
+        np.testing.assert_allclose(buf._weight[1], (2.0 ** -0.5 + 1) * 2.0 ** -0.5)
 
     def test_capacity_respected_on_long_stream(self):
-        buf = HPStreamBuffer(3, HPStreamParams(), 4)
+        buf = HPStreamBuffer(3, 4)
         for t, x in enumerate(gaussian_stream(400, 4, seed=6)):
             buf.insert(x, t)
         assert buf.size == 3
         assert buf.memory_units() == 6
         assert np.isfinite(buf.vectors()).all()
-
-    def test_projected_dims_larger_than_dim(self):
-        with pytest.raises(UsageError):
-            HPStreamBuffer(2, HPStreamParams(projected_dims=5), 3)
 
 
 # --------------------------------------------------------- reservoir / queue
@@ -512,6 +507,43 @@ class TestBufferManager:
             mgr.insert([1.0], 2, 0)
         with pytest.raises(UsageError, match="label"):
             mgr.insert([1.0], -1, 0)
+
+    @pytest.mark.parametrize("capacity, num_classes", [
+        (2.5, 3), (True, 3), ("4", 3), (4, 3.0), (4, np.float64(2)),
+    ], ids=["capacity_fraction", "capacity_bool", "capacity_string", "classes_float",
+            "classes_numpy_float"])
+    def test_sizes_must_be_integers(self, capacity, num_classes):
+        with pytest.raises(UsageError, match="integer"):
+            BufferManager("exstream", capacity, num_classes)
+
+    @pytest.mark.parametrize("label", [1.5, 1.0, True, "1"],
+                             ids=["fraction", "float", "bool", "string"])
+    def test_label_must_be_integer(self, label):
+        mgr = BufferManager("queue", 4, num_classes=2)
+        with pytest.raises(UsageError, match="integer"):
+            mgr.insert([1.0], label, 0)
+        assert mgr.memory_cost() == 0
+
+    @pytest.mark.parametrize("strategy, second, label", [
+        ("reservoir", [5.0], 0),            # would broadcast into [5, 5, 5]
+        ("hpstream", [7.0], 0),             # would seed a cluster at [7, 7, 7]
+        ("queue", [1.0, 2.0], 1),           # a second class of another length
+        ("queue", [[1.0, 2.0, 3.0]], 0),    # a row of a matrix
+    ], ids=["reservoir_short", "hpstream_short", "second_class_short", "matrix"])
+    def test_first_insert_fixes_dimension(self, strategy, second, label):
+        mgr = BufferManager(strategy, 2, num_classes=2)
+        mgr.insert([1.0, 2.0, 3.0], 0, 1)
+        with pytest.raises(UsageError, match="length 3"):
+            mgr.insert(second, label, 2)
+        np.testing.assert_array_equal(mgr.contents()[0], [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("first", [[], 3.0, [[1.0, 2.0]]], ids=["empty", "scalar", "matrix"])
+    def test_first_sample_must_be_a_vector(self, first):
+        mgr = BufferManager("queue", 2, num_classes=1)
+        with pytest.raises(UsageError, match="1-D"):
+            mgr.insert(first, 0, 1)
+        mgr.insert([1.0, 2.0], 0, 2)  # the dimension is still open
+        assert mgr.contents()[0].shape == (1, 2)
 
     def test_unknown_strategy(self):
         with pytest.raises(UsageError, match="strategy"):
