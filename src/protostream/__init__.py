@@ -2,7 +2,7 @@
 
 from .buffers import (BOUNDED_STRATEGIES, BufferManager, STRATEGIES, assign_projected_dims,
                       kmeans_lloyd)
-from .data import (Dataset, LabeledSample, ORDERING_KINDS, StreamOrdering, SynthSpec,
+from .data import (Dataset, LabeledSample, ORDERING_KINDS, Split, StreamOrdering, SynthSpec,
                    l2_normalize, load_feature_matrix, load_manifest, order_stream,
                    save_feature_matrix, synth_gaussian, write_dataset, write_manifest)
 from .errors import DataFormatError, NumericError, UsageError
@@ -17,7 +17,7 @@ __all__ = [
     "AccuracyCurve", "BOUNDED_STRATEGIES", "BufferManager", "DataFormatError",
     "Dataset", "LabeledSample", "METHODS", "MLPClassifier", "MLPConfig",
     "MuTotalResult", "NumericError", "OmegaResult", "ORDERING_KINDS", "RunConfig",
-    "RunResult", "STRATEGIES", "StreamOrdering", "SynthSpec", "UsageError",
+    "RunResult", "STRATEGIES", "Split", "StreamOrdering", "SynthSpec", "UsageError",
     "assign_projected_dims", "evaluate_accuracy", "event_times", "execute_run",
     "fit_offline", "kmeans_lloyd", "l2_normalize",
     "load_feature_matrix", "load_manifest", "mu_total", "omega_score",

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UsageError, require_int
+from .errors import UsageError, require_int, require_real
 
 STRATEGIES = ("exstream", "online_kmeans", "clustream", "hpstream", "reservoir", "queue", "full")
 BOUNDED_STRATEGIES = tuple(s for s in STRATEGIES if s != "full")
@@ -509,7 +509,9 @@ class BufferManager:
         self.strategy = strategy
         self.capacity = capacity
         self.num_classes = num_classes
-        self.seed = seed
+        self.seed = require_int(seed, "seed")
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {seed}")
         self._dim: int | None = None
         self._buffers: dict[int, object] = {}
         if strategy == "exstream" and capacity < 2:
@@ -534,10 +536,11 @@ class BufferManager:
         return FullBuffer()
 
     def insert(self, x, label: int, t: float):
-        """Route one sample into its class buffer at stream time t."""
+        """Route one sample into its class buffer at stream time t, a finite number."""
         label = require_int(label, "class label")
         if not 0 <= label < self.num_classes:
             raise UsageError(f"class label {label} outside [0, {self.num_classes})")
+        t = require_real(t, "stream time t")
         x = np.asarray(x, dtype=np.float64)
         if self._dim is None and x.ndim == 1 and len(x):
             self._dim = len(x)

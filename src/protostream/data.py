@@ -1,5 +1,8 @@
-"""Samples, datasets, feature-file and manifest ingestion, stream orderings,
-and the synthetic Gaussian generator used by the tests and demos.
+"""Datasets, feature-file and manifest ingestion, stream orderings, and the
+synthetic Gaussian generator used by the tests and demos.
+
+A Dataset holds one Split per split: read-only row-aligned arrays, built
+once and shared by every run. LabeledSample is the view of one row.
 
 Feature files are a small binary format: the 4-byte magic ``FEAT``, a
 little-endian u32 version (currently 1), u64 row count, u64 dimension,
@@ -39,29 +42,60 @@ class LabeledSample:
     split: str
 
 
+class Split:
+    """One split's rows as read-only arrays: features (n, d) float64, and
+    int64 labels, instance ids and frame indices. Indexing and iteration
+    (the sequence protocol) give LabeledSample row views."""
+
+    def __init__(self, features, labels, instances, frames, name: str):
+        arrays = [np.asarray(a, dtype).view() for a, dtype in zip(
+            (features, labels, instances, frames), (np.float64, np.int64, np.int64, np.int64))]
+        for a in arrays:
+            a.flags.writeable = False
+        self.features, self.labels, self.instances, self.frames = arrays
+        self.name = name
+        shapes = {a.shape for a in (self.labels, self.instances, self.frames)}
+        if self.features.ndim != 2 or shapes != {(len(self.features),)}:
+            raise UsageError(f"a {name} split needs (n, d) features and n of each id")
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        return LabeledSample(self.features[i], int(self.labels[i]), int(self.instances[i]),
+                             int(self.frames[i]), self.name)
+
+
 @dataclass
 class Dataset:
-    """Train/test samples sharing one feature dimension and a dense label set."""
+    """Train and test Splits sharing one feature dimension and a dense label
+    set. Either split may be given as a sequence of LabeledSample."""
 
-    train: list[LabeledSample]
-    test: list[LabeledSample]
+    train: Split
+    test: Split
     num_classes: int
     dim: int
     name: str = "dataset"
 
+    def __post_init__(self):
+        for part in ("train", "test"):
+            rows = getattr(self, part)
+            if not isinstance(rows, Split):
+                rows = list(rows)
+                if any(np.shape(s.features) != (self.dim,) for s in rows):
+                    raise UsageError(f"every {part} row must be a vector of length {self.dim}")
+                ids = [(s.class_label, s.instance_id, s.frame_index) for s in rows]
+                x = np.array([s.features for s in rows], dtype=np.float64).reshape(-1, self.dim)
+                rows = Split(x, *np.array(ids, dtype=np.int64).reshape(-1, 3).T, part)
+            if rows.features.shape[1] != self.dim:
+                raise UsageError(f"{part} rows have length {rows.features.shape[1]}, not {self.dim}")
+            setattr(self, part, rows)
+
     def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _to_arrays(self.train, self.dim)
+        return self.train.features, self.train.labels
 
     def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _to_arrays(self.test, self.dim)
-
-
-def _to_arrays(samples, dim):
-    if not samples:
-        return np.zeros((0, dim)), np.zeros(0, dtype=np.int64)
-    x = np.stack([s.features for s in samples]).astype(np.float64, copy=False)
-    y = np.array([s.class_label for s in samples], dtype=np.int64)
-    return x, y
+        return self.test.features, self.test.labels
 
 
 @dataclass(frozen=True)
@@ -169,20 +203,12 @@ def write_manifest(path, rows) -> None:
 
 def write_dataset(dataset: Dataset, features_path, manifest_path) -> None:
     """Serialize a dataset as a FEAT file plus manifest, train rows first."""
-    samples = list(dataset.train) + list(dataset.test)
-    matrix = np.stack([s.features for s in samples])
-    save_feature_matrix(features_path, matrix)
-    rows = []
-    for i, s in enumerate(samples):
-        rows.append({
-            "sample_id": i,
-            "row": i,
-            "split": s.split,
-            "class_label": s.class_label,
-            "instance_id": s.instance_id,
-            "frame_index": s.frame_index,
-        })
-    write_manifest(manifest_path, rows)
+    splits = (dataset.train, dataset.test)
+    save_feature_matrix(features_path, np.concatenate([s.features for s in splits]))
+    rows = [(s.name, *ids) for s in splits
+            for ids in zip(s.labels.tolist(), s.instances.tolist(), s.frames.tolist())]
+    write_manifest(manifest_path, (dict(zip(MANIFEST_FIELDS, (i, i, *row)))
+                                   for i, row in enumerate(rows)))
 
 
 def load_manifest(path, features, name: str | None = None, normalize: bool = True) -> Dataset:
@@ -209,8 +235,7 @@ def load_manifest(path, features, name: str | None = None, normalize: bool = Tru
     labels = _map_labels(path, [r["class_label"] for r in raw_rows])
     num_classes = max(labels) + 1
 
-    train: list[LabeledSample] = []
-    test: list[LabeledSample] = []
+    ids = []
     seen = set()
     for lineno, (row, label) in enumerate(zip(raw_rows, labels), start=2):
         split = row["split"]
@@ -232,19 +257,16 @@ def load_manifest(path, features, name: str | None = None, normalize: bool = Tru
             raise DataFormatError(
                 f"{path}:{lineno}: duplicate (class, instance, frame) within split {split}")
         seen.add(key)
-        vec = features[idx]
-        if normalize:
-            vec = l2_normalize(vec)
-        else:
-            vec = vec.copy()
-        sample = LabeledSample(vec, label, instance, frame, split)
-        (train if split == "train" else test).append(sample)
+        ids.append((idx, label, instance, frame, split == "train"))
 
-    train_classes = {s.class_label for s in train}
-    test_classes = {s.class_label for s in test}
-    orphans = sorted(test_classes - train_classes)
+    rows, labels, instances, frames, in_train = np.array(ids, dtype=np.int64).T
+    norm = l2_normalize if normalize else np.asarray
+    x = np.stack([norm(features[i]) for i in rows])
+    orphans = sorted(set(labels[in_train == 0].tolist()) - set(labels[in_train == 1].tolist()))
     if orphans:
         raise DataFormatError(f"{path}: test classes {orphans} never appear in train")
+    train, test = (Split(x[m], labels[m], instances[m], frames[m], part)
+                   for m, part in ((in_train == 1, "train"), (in_train == 0, "test")))
     return Dataset(train, test, num_classes, features.shape[1], name or path.stem)
 
 
@@ -272,14 +294,13 @@ def order_stream(dataset: Dataset, ordering: StreamOrdering) -> np.ndarray:
     seeded class blocks.
     """
     train = dataset.train
-    if not train:
+    if len(train) == 0:
         raise UsageError("cannot order an empty train split")
     rng = np.random.default_rng(ordering.seed)
-    n = len(train)
     if ordering.kind == "iid":
-        return rng.permutation(n)
+        return rng.permutation(len(train))
 
-    labels = np.array([s.class_label for s in train])
+    labels = train.labels
     if ordering.kind == "class_iid":
         chunks = []
         for cls in rng.permutation(dataset.num_classes):
@@ -287,25 +308,23 @@ def order_stream(dataset: Dataset, ordering: StreamOrdering) -> np.ndarray:
             chunks.append(rng.permutation(idx))
         return np.concatenate(chunks).astype(np.int64)
 
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, s in enumerate(train):
-        groups.setdefault((s.class_label, s.instance_id), []).append(i)
-    for key, members in groups.items():
-        members.sort(key=lambda i: (train[i].frame_index, i))
-    keys = sorted(groups)
+    # (class, instance) groups in key order, each by (frame, row): a stable lexsort
+    rows = np.lexsort((train.frames, train.instances, labels))
+    keys = np.stack([labels[rows], train.instances[rows]])
+    starts = np.flatnonzero(np.r_[True, (np.diff(keys, axis=1) != 0).any(axis=0)])
+    groups = np.split(rows, starts[1:])
+    group_class = keys[0, starts]
 
     if ordering.kind == "instance":
-        order = rng.permutation(len(keys))
-        return np.concatenate([np.asarray(groups[keys[j]]) for j in order]).astype(np.int64)
+        order = rng.permutation(len(groups))
+        return np.concatenate([groups[j] for j in order]).astype(np.int64)
 
     # class_instance: seeded class order, then seeded instance order per class
     chunks = []
     for cls in rng.permutation(dataset.num_classes):
-        cls_keys = [k for k in keys if k[0] == cls]
-        if not cls_keys:
-            continue
-        for j in rng.permutation(len(cls_keys)):
-            chunks.append(np.asarray(groups[cls_keys[j]]))
+        members = np.flatnonzero(group_class == cls)
+        for j in rng.permutation(len(members)):
+            chunks.append(groups[members[j]])
     return np.concatenate(chunks).astype(np.int64)
 
 
@@ -333,16 +352,19 @@ def synth_gaussian(spec: SynthSpec) -> Dataset:
         means = raw * (spec.class_mean_separation / dmin)
 
     def build(split, per_class):
+        # one (frames, d) draw per instance: the stream of frames (d,) draws
         counts = _split_counts(per_class, spec.instances_per_class)
-        samples = []
+        x = np.empty((k * per_class, d))
+        row = 0
         for cls in range(k):
-            for inst, frames in enumerate(counts):
-                offset = rng.standard_normal(d) * spec.noise_std
-                center = means[cls] + offset
-                for frame in range(frames):
-                    x = center + rng.standard_normal(d) * spec.noise_std
-                    samples.append(LabeledSample(x, cls, inst, frame, split))
-        return samples
+            for frames in counts:
+                center = means[cls] + rng.standard_normal(d) * spec.noise_std
+                x[row:row + frames] = center + rng.standard_normal((frames, d)) * spec.noise_std
+                row += frames
+        instances = np.repeat(np.arange(len(counts)), counts)
+        frames = np.concatenate([np.arange(c) for c in counts])
+        return Split(x, np.repeat(np.arange(k), per_class), np.tile(instances, k),
+                     np.tile(frames, k), split)
 
     train = build("train", spec.samples_per_class_train)
     test = build("test", spec.samples_per_class_test)

@@ -516,6 +516,25 @@ class TestBufferManager:
         with pytest.raises(UsageError, match="integer"):
             BufferManager("exstream", capacity, num_classes)
 
+    @pytest.mark.parametrize("seed, match", [(1.5, "integer"), (True, "integer"),
+                                             (-1, "non-negative")],
+                             ids=["fraction", "bool", "negative"])
+    @pytest.mark.parametrize("strategy", ["reservoir", "clustream", "queue"])
+    def test_seed_checked_at_construction(self, strategy, seed, match):
+        with pytest.raises(UsageError, match=match):
+            BufferManager(strategy, 4, num_classes=2, seed=seed)
+
+    @pytest.mark.parametrize("t", [None, float("nan"), True],
+                             ids=["none", "nan", "bool"])
+    @pytest.mark.parametrize("strategy", ["clustream", "hpstream"])
+    def test_time_must_be_a_finite_number(self, strategy, t):
+        mgr = BufferManager(strategy, 2, num_classes=1)
+        mgr.insert([1.0, 2.0], 0, 1)
+        cost = mgr.memory_cost()
+        with pytest.raises(UsageError, match="stream time"):
+            mgr.insert([3.0, 4.0], 0, t)
+        assert mgr.memory_cost() == cost and len(mgr.contents()[0]) == 1
+
     @pytest.mark.parametrize("label", [1.5, 1.0, True, "1"],
                              ids=["fraction", "float", "bool", "string"])
     def test_label_must_be_integer(self, label):

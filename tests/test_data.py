@@ -1,13 +1,27 @@
-"""Feature files, manifests, normalization, orderings, synthetic data."""
+"""Feature files, manifests, normalization, datasets, orderings, synthetic
+data, and per-row reference versions of the generator and the orderings."""
 
 import numpy as np
 import pytest
 
-from protostream import (Dataset, DataFormatError, LabeledSample, MLPClassifier,
-                         MLPConfig, StreamOrdering, SynthSpec, UsageError,
-                         fit_offline, l2_normalize, load_feature_matrix,
+from protostream import (ORDERING_KINDS, Dataset, DataFormatError, LabeledSample,
+                         MLPClassifier, MLPConfig, Split, StreamOrdering, SynthSpec,
+                         UsageError, fit_offline, l2_normalize, load_feature_matrix,
                          load_manifest, order_stream, save_feature_matrix,
                          synth_gaussian, write_manifest)
+
+# Synthetic shapes of the benchmark's workloads (perfbench/workloads.py).
+WORKLOAD_SHAPES = {
+    "paper_embed": dict(num_classes=10, dim=2048, samples_per_class_train=30,
+                        samples_per_class_test=20, instances_per_class=4,
+                        class_mean_separation=60.0, noise_std=1.0),
+    "buffer_compress": dict(num_classes=8, dim=64, samples_per_class_train=200,
+                            samples_per_class_test=50, instances_per_class=8,
+                            class_mean_separation=10.0, noise_std=1.0),
+    "cli_sweep": dict(num_classes=4, dim=16, samples_per_class_train=100,
+                      samples_per_class_test=50, instances_per_class=4,
+                      class_mean_separation=6.0, noise_std=1.0),
+}
 
 
 class TestFeatureFile:
@@ -165,6 +179,89 @@ def _toy_dataset(num_classes=3, instances=2, frames=4, seed=0):
     return Dataset(train, test, num_classes, 5, "toy")
 
 
+def _scrambled_dataset(seed=0):
+    """Rows in random order with repeated frame indices inside an instance
+    (ties broken by row) and a class (3) that has no rows at all."""
+    rng = np.random.default_rng(seed)
+    train = [LabeledSample(rng.standard_normal(4), int(rng.integers(3)), int(rng.integers(3)),
+                           int(rng.integers(3)), "train") for _ in range(40)]
+    test = [LabeledSample(rng.standard_normal(4), 0, 0, 0, "test")]
+    return Dataset(train, test, 4, 4, "scrambled")
+
+
+def _split_arrays(split):
+    return split.features, split.labels, split.instances, split.frames
+
+
+class TestDataset:
+    def test_rebuilt_from_rows_is_equal(self):
+        """A Dataset built from its own row views has the same arrays and
+        the same orderings."""
+        datasets = [_toy_dataset(), _scrambled_dataset(),
+                    synth_gaussian(SynthSpec(3, 6, 12, 5, instances_per_class=2, seed=4))]
+        for ds in datasets:
+            rebuilt = Dataset(list(ds.train), list(ds.test), ds.num_classes, ds.dim, ds.name)
+            for old, new in ((ds.train, rebuilt.train), (ds.test, rebuilt.test)):
+                assert old.name == new.name
+                for a, b in zip(_split_arrays(old), _split_arrays(new)):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+            for kind in ORDERING_KINDS:
+                for seed in (0, 1, 2):
+                    ordering = StreamOrdering(kind, seed)
+                    np.testing.assert_array_equal(order_stream(ds, ordering),
+                                                  order_stream(rebuilt, ordering))
+
+    def test_arrays_are_shared_and_read_only(self):
+        ds = _toy_dataset()
+        (x, y), (x2, y2) = ds.train_arrays(), ds.train_arrays()
+        assert x is x2 and y is y2
+        assert ds.test_arrays()[0] is ds.test_arrays()[0]
+        assert x.dtype == np.float64 and y.dtype == np.int64
+        for a in (*_split_arrays(ds.train), *_split_arrays(ds.test)):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1.0
+
+    def test_split_leaves_the_callers_array_writable(self):
+        x = np.zeros((2, 3))
+        split = Split(x, [0, 1], [0, 0], [0, 0], "train")
+        assert x.flags.writeable and not split.features.flags.writeable
+
+    def test_row_views(self):
+        ds = _toy_dataset()
+        row = ds.train[5]
+        assert isinstance(row, LabeledSample)
+        assert (row.class_label, row.instance_id, row.frame_index, row.split) == (0, 1, 1, "train")
+        assert type(row.class_label) is int
+        np.testing.assert_array_equal(row.features, ds.train.features[5])
+        assert len(ds.train) == 24 and len(list(ds.test)) == 3
+        assert [s.class_label for s in ds.test] == [0, 1, 2]
+
+    def test_row_length_must_match_dim(self):
+        good = [LabeledSample(np.zeros(5), 0, 0, 0, "train")]
+        for bad in (np.zeros(4), np.zeros(6), np.zeros((1, 5)), 1.0):
+            row = [LabeledSample(bad, 0, 0, 1, "train")]
+            with pytest.raises(UsageError, match="length 5"):
+                Dataset(good + row, good, 1, 5)
+            with pytest.raises(UsageError, match="length 5"):
+                Dataset(good, row, 1, 5)
+        narrow = Split(np.zeros((2, 4)), [0, 0], [0, 0], [0, 1], "train")
+        with pytest.raises(UsageError, match="length 4"):
+            Dataset(narrow, good, 1, 5)
+
+    def test_split_arrays_must_align(self):
+        with pytest.raises(UsageError, match="split"):
+            Split(np.zeros((2, 4)), [0], [0, 0], [0, 1], "train")
+        with pytest.raises(UsageError, match="split"):
+            Split(np.zeros(4), [0], [0], [0], "train")
+
+    def test_empty_split_keeps_dimension(self):
+        ds = Dataset([LabeledSample(np.ones(3), 0, 0, 0, "train")], [], 1, 3)
+        x, y = ds.test_arrays()
+        assert x.shape == (0, 3) and y.shape == (0,) and y.dtype == np.int64
+
+
 class TestOrderStream:
     def test_every_kind_is_a_permutation(self):
         ds = _toy_dataset()
@@ -246,10 +343,11 @@ class TestSynthGaussian:
     def test_bitwise_deterministic(self):
         spec = SynthSpec(2, 4, 8, 4, seed=9)
         a, b = synth_gaussian(spec), synth_gaussian(spec)
-        for s, t in zip(a.train + a.test, b.train + b.test):
-            assert np.array_equal(s.features, t.features)
-            assert (s.class_label, s.instance_id, s.frame_index) == \
-                   (t.class_label, t.instance_id, t.frame_index)
+        for split_a, split_b in ((a.train, b.train), (a.test, b.test)):
+            for s, t in zip(split_a, split_b):
+                assert np.array_equal(s.features, t.features)
+                assert (s.class_label, s.instance_id, s.frame_index) == \
+                       (t.class_label, t.instance_id, t.frame_index)
 
     def test_minimum_separation_is_exact(self):
         for k, sep in ((3, 4.0), (5, 10.0)):
@@ -312,3 +410,100 @@ class TestSynthGaussian:
         spec = SynthSpec(np.int64(2), np.int32(4), 8, 4, seed=np.int64(3))
         assert type(spec.num_classes) is int and type(spec.seed) is int
         assert synth_gaussian(spec).name == "synth-k2-d4-seed3"
+
+
+# --------------------------------------------------------------- references
+# The per-row generator and the dict-of-lists grouping that synth_gaussian
+# and order_stream replaced with array code. The array versions must give
+# the same bytes and the same permutations.
+
+def reference_synth_rows(spec):
+    """(train, test) lists of (features, class, instance, frame) rows, one
+    (d,) draw per row."""
+    rng = np.random.default_rng(spec.seed)
+    k, d = spec.num_classes, spec.dim
+    if k == 1:
+        means = np.zeros((1, d))
+    else:
+        while True:
+            raw = rng.standard_normal((k, d))
+            diffs = raw[:, None, :] - raw[None, :, :]
+            dist = np.sqrt((diffs ** 2).sum(axis=2))
+            dmin = dist[np.triu_indices(k, 1)].min()
+            if dmin > 0:
+                break
+        means = raw * (spec.class_mean_separation / dmin)
+    splits = []
+    for per_class in (spec.samples_per_class_train, spec.samples_per_class_test):
+        base, extra = divmod(per_class, spec.instances_per_class)
+        counts = [base + (1 if i < extra else 0) for i in range(spec.instances_per_class)]
+        rows = []
+        for cls in range(k):
+            for inst, frames in enumerate(counts):
+                offset = rng.standard_normal(d) * spec.noise_std
+                center = means[cls] + offset
+                for frame in range(frames):
+                    x = center + rng.standard_normal(d) * spec.noise_std
+                    rows.append((x, cls, inst, frame))
+        splits.append(rows)
+    return splits
+
+
+def reference_order(train, num_classes, ordering):
+    """order_stream over a list of LabeledSample, grouping (class, instance)
+    keys in a dict of index lists."""
+    rng = np.random.default_rng(ordering.seed)
+    if ordering.kind == "iid":
+        return rng.permutation(len(train))
+    labels = np.array([s.class_label for s in train])
+    if ordering.kind == "class_iid":
+        chunks = []
+        for cls in rng.permutation(num_classes):
+            chunks.append(rng.permutation(np.flatnonzero(labels == cls)))
+        return np.concatenate(chunks).astype(np.int64)
+    groups = {}
+    for i, s in enumerate(train):
+        groups.setdefault((s.class_label, s.instance_id), []).append(i)
+    for members in groups.values():
+        members.sort(key=lambda i: (train[i].frame_index, i))
+    keys = sorted(groups)
+    if ordering.kind == "instance":
+        order = rng.permutation(len(keys))
+        return np.concatenate([np.asarray(groups[keys[j]]) for j in order]).astype(np.int64)
+    chunks = []
+    for cls in rng.permutation(num_classes):
+        cls_keys = [k for k in keys if k[0] == cls]
+        if not cls_keys:
+            continue
+        for j in rng.permutation(len(cls_keys)):
+            chunks.append(np.asarray(groups[cls_keys[j]]))
+    return np.concatenate(chunks).astype(np.int64)
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", list(WORKLOAD_SHAPES))
+    def test_synth_matches_per_row_draws(self, shape, seed):
+        spec = SynthSpec(**WORKLOAD_SHAPES[shape], seed=seed)
+        ds = synth_gaussian(spec)
+        for split, rows in zip((ds.train, ds.test), reference_synth_rows(spec)):
+            assert split.features.tobytes() == np.array([r[0] for r in rows]).tobytes()
+            ids = np.stack([split.labels, split.instances, split.frames], axis=1)
+            np.testing.assert_array_equal(ids, [r[1:] for r in rows])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("source", ["toy", "scrambled", *WORKLOAD_SHAPES])
+    def test_orderings_match_dict_grouping(self, source, seed):
+        if source == "toy":
+            ds = _toy_dataset(seed=seed)
+        elif source == "scrambled":
+            ds = _scrambled_dataset(seed)
+        else:
+            ds = synth_gaussian(SynthSpec(**WORKLOAD_SHAPES[source], seed=seed))
+        rows = list(ds.train)
+        for kind in ORDERING_KINDS:
+            ordering = StreamOrdering(kind, seed)
+            expected = reference_order(rows, ds.num_classes, ordering)
+            got = order_stream(ds, ordering)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected, err_msg=kind)
