@@ -1,9 +1,10 @@
 """Memory-bounded per-class prototype stores for rehearsal.
 
-Every class gets its own buffer of capacity b. The vector strategies share
-one slot store: per-class arrays of vectors and counts, filled by copying
-each incoming sample in with count 1 while a slot is free. Once full, each
-strategy decides how to compress:
+Every class gets its own buffer of capacity b. All buffers of a
+BufferManager keep their prototypes in one array, a block of rows per
+class. The vector strategies share one slot store: per-class vectors and
+counts, filled by copying each incoming sample in with count 1 while a slot
+is free. Once full, each strategy decides how to compress:
 
 * exstream        merge the two closest prototypes count-weighted, then
                   store the new point in the freed slot
@@ -69,10 +70,16 @@ def _relevance_stamp(n, timestamp_sum, timestamp_sq_sum, factor):
 
 
 def _radii(weight, squared, centroid):
-    # per-dimension spread; weight <= 1 means radius 0 everywhere
-    w = np.asarray(weight, dtype=np.float64)[..., None]
-    var = squared / w - centroid * centroid
-    return np.where(w <= 1.0, 0.0, np.sqrt(np.maximum(var, 0.0)))
+    # per-dimension spread; weight <= 1 means radius 0 everywhere, so only
+    # the heavier rows are computed
+    w = np.asarray(weight, dtype=np.float64)
+    radii = np.zeros(np.shape(centroid))
+    heavy = w > 1.0
+    if heavy.any():
+        c = centroid[heavy]
+        var = squared[heavy] / w[heavy][..., None] - c * c
+        radii[heavy] = np.sqrt(np.maximum(var, 0.0))
+    return radii
 
 
 @lru_cache(maxsize=16)
@@ -93,19 +100,20 @@ def _closest_pair(v):
 class SlotStore:
     """At most ``capacity`` vectors with integer counts.
 
-    The (capacity, d) vector array is allocated on the first insert, once
-    d is known. While a slot is free an insert copies the sample in with
-    count 1; an insert into a full store goes to ``overflow``, the one rule
-    each strategy supplies. ``vectors`` and ``counts`` are views of the
-    filled rows.
+    The vectors live in ``rows``, a (capacity, d) block; a BufferManager
+    hands each class a block of its prototype array. A store made without
+    one allocates its own on the first insert, once d is known. While a
+    slot is free an insert copies the sample in with count 1; an insert
+    into a full store goes to ``overflow``, the one rule each strategy
+    supplies. ``vectors`` and ``counts`` are views of the filled rows.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, rows: np.ndarray | None = None):
         if capacity < 1:
             raise UsageError("capacity must be at least 1")
         self.capacity = capacity
         self.size = 0
-        self._vecs = np.zeros((capacity, 0))
+        self._vecs = np.zeros((capacity, 0)) if rows is None else rows
         self._counts = np.zeros(capacity, dtype=np.int64)
 
     def insert(self, x, t=None):
@@ -120,6 +128,13 @@ class SlotStore:
 
     def overflow(self, x):
         raise UsageError(f"store of {self.capacity} slots is full")
+
+    def move_to(self, rows):
+        """Continue in ``rows``, a larger block; filled rows and counts carry over."""
+        rows[: self.size] = self.vectors()
+        counts = np.zeros(len(rows), dtype=np.int64)
+        counts[: self.size] = self.counts()
+        self._vecs, self._counts, self.capacity = rows, counts, len(rows)
 
     def vectors(self):
         return self._vecs[: self.size]
@@ -139,10 +154,10 @@ class ExStreamBuffer(SlotStore):
     count 1. Total count therefore always equals the number of inserts.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, rows: np.ndarray | None = None):
         if capacity < 2:
             raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
-        super().__init__(capacity)
+        super().__init__(capacity, rows)
 
     def overflow(self, x):
         v, c = self._vecs, self._counts
@@ -170,8 +185,9 @@ class ReservoirBuffer(SlotStore):
     """Uniform sample of the stream: the m-th point replaces a uniformly
     chosen slot with probability b/m once the buffer is full."""
 
-    def __init__(self, capacity: int, rng: np.random.Generator):
-        super().__init__(capacity)
+    def __init__(self, capacity: int, rng: np.random.Generator,
+                 rows: np.ndarray | None = None):
+        super().__init__(capacity, rows)
         self.rng = rng
         self._overflows = 0
 
@@ -190,20 +206,6 @@ class QueueBuffer(SlotStore):
         self._vecs[-1] = x
 
 
-class FullBuffer(SlotStore):
-    """Unbounded store of every sample, for the full-rehearsal baseline.
-    Its arrays double in size whenever they fill."""
-
-    def __init__(self):
-        super().__init__(16)
-
-    def overflow(self, x):
-        self.capacity *= 2
-        self._vecs = np.concatenate([self._vecs, np.zeros_like(self._vecs)])
-        self._counts = np.concatenate([self._counts, np.zeros_like(self._counts)])
-        self.insert(x)
-
-
 class CluStreamBuffer:
     """Micro-cluster store seeded by k-means over a staging pool.
 
@@ -218,15 +220,19 @@ class CluStreamBuffer:
     Dropping a cluster keeps the others in order.
 
     The cluster features live in stacked arrays with one spare row, where
-    a new cluster waits until one is shed.
+    a new cluster waits until one is shed. The staging pool is ``rows``, a
+    (CLUSTREAM_INIT_MULTIPLIER * b, d) block (allocated on the first insert
+    when not given); once the clusters are built, its first b rows hold
+    their centroids, rewritten after every insert.
     """
 
-    def __init__(self, capacity: int, rng: np.random.Generator):
+    def __init__(self, capacity: int, rng: np.random.Generator,
+                 rows: np.ndarray | None = None):
         if capacity < 1:
             raise UsageError("capacity must be at least 1")
         self.capacity = capacity
         self.rng = rng
-        self.staging: SlotStore | None = SlotStore(CLUSTREAM_INIT_MULTIPLIER * capacity)
+        self.staging: SlotStore | None = SlotStore(CLUSTREAM_INIT_MULTIPLIER * capacity, rows)
         self._staged_t = np.zeros(self.staging.capacity)
         self._n: np.ndarray | None = None
 
@@ -242,6 +248,11 @@ class CluStreamBuffer:
                 self._initialize()
             return
         self._stream_insert(x, float(t))
+        self._write_centroids()
+
+    def _write_centroids(self):
+        k = self.capacity
+        np.divide(self._linear[:k], self._n[:k, None], out=self._cents)
 
     def _initialize(self):
         points, times = self.staging.vectors(), self._staged_t
@@ -260,6 +271,8 @@ class CluStreamBuffer:
             self._squared[j] = (pts * pts).sum(axis=0)
             self._t_sum[j] = times[members].sum()
             self._t_sq_sum[j] = (times[members] ** 2).sum()
+        self._cents = points[: self.capacity]
+        self._write_centroids()
         self.staging = self._staged_t = None
 
     def _features(self):
@@ -268,7 +281,7 @@ class CluStreamBuffer:
     def _stream_insert(self, x, t):
         k = self.capacity
         n, linear, squared, t_sum, t_sq_sum = self._features()
-        cents = _centroid(n[:k], linear[:k])
+        cents = self._cents
         d2 = ((cents - x) ** 2).sum(axis=1)
         near = int(np.argmin(d2))
         dist = float(np.sqrt(d2[near]))
@@ -305,9 +318,7 @@ class CluStreamBuffer:
             feature[j:k] = feature[j + 1:k + 1]
 
     def vectors(self):
-        if self._n is None:
-            return self.staging.vectors()
-        return _centroid(self._n[: self.capacity], self._linear[: self.capacity])
+        return self.staging.vectors() if self._n is None else self._cents
 
     def memory_units(self):
         return self.staging.size if self._n is None else 2 * self.capacity
@@ -403,13 +414,23 @@ def assign_projected_dims(radii: np.ndarray, dims_per_cluster: int) -> np.ndarra
     k, d = radii.shape
     if not 1 <= dims_per_cluster <= d:
         raise UsageError(f"projected_dims must be in [1, {d}], got {dims_per_cluster}")
-    # a stable sort of the flat radii keeps (cluster, dim) order among ties
-    order = np.argsort(radii.ravel(), kind="stable")
-    bits = np.zeros(k * d, dtype=bool)
-    bits[order[: k * dims_per_cluster]] = True
+    # every pair below the budget's largest radius v, then the first pairs
+    # at v in (cluster, dim) order: what a stable sort would select. NaN
+    # sorts last, so a NaN v takes every number, then NaNs in order.
+    flat = radii.ravel()
+    budget = k * dims_per_cluster
+    v = np.partition(flat, budget - 1)[budget - 1]
+    if v == v:
+        bits = flat < v
+        at_v = flat == v
+    else:
+        bits = ~np.isnan(flat)
+        at_v = ~bits
+    bits[np.flatnonzero(at_v)[: budget - np.count_nonzero(bits)]] = True
     bits = bits.reshape(k, d)
-    empty = np.flatnonzero(~bits.any(axis=1))
-    bits[empty, np.argmin(radii[empty], axis=1)] = True
+    empty = np.flatnonzero(~np.logical_or.reduce(bits, axis=1))
+    if len(empty):
+        bits[empty, np.argmin(radii[empty], axis=1)] = True
     return bits
 
 
@@ -427,21 +448,25 @@ class HPStreamBuffer:
     HPSTREAM_SPEED.
 
     Cluster statistics live in stacked arrays so the whole update is a
-    handful of vectorized operations.
+    handful of vectorized operations. The centroids live in ``rows``, a
+    (capacity, dim) block (allocated when not given), rewritten on every
+    insert.
     """
 
-    def __init__(self, capacity: int, dim: int):
+    def __init__(self, capacity: int, dim: int, rows: np.ndarray | None = None):
         if capacity < 1:
             raise UsageError("capacity must be at least 1")
         self.capacity = capacity
         self.dims = max(1, dim // 2)
         self.size = 0
+        self._means = np.zeros((capacity, dim)) if rows is None else rows
         self._weight = np.zeros(capacity)
         self._linear = np.zeros((capacity, dim))
         self._squared = np.zeros((capacity, dim))
         self._last_update = np.zeros(capacity)
         self._last_fade = np.zeros(capacity)
         self._bits = np.zeros((capacity, dim), dtype=bool)
+        self._faded = False  # True once every cluster shares one fade time
 
     def _seed(self, i, x, t):
         self._weight[i] = 1.0
@@ -450,6 +475,7 @@ class HPStreamBuffer:
         self._last_update[i] = t
         self._last_fade[i] = t
         self._bits[i] = False
+        self._means[i] = x  # x / weight 1
 
     def insert(self, x, t_sample):
         t = float(t_sample) / HPSTREAM_SPEED
@@ -457,44 +483,56 @@ class HPStreamBuffer:
             self._seed(self.size, x, t)
             self.size += 1
             return
-        gaps = t - self._last_fade
-        factor = np.where(gaps > 0, 2.0 ** (-HPSTREAM_DECAY_RATE * gaps), 1.0)
-        self._weight *= factor
-        self._linear *= factor[:, None]
-        self._squared *= factor[:, None]
+        # after the first fade every cluster last faded at the same time, so
+        # one factor fades them all
+        gaps = t - self._last_fade[:1 if self._faded else None]
+        factor = np.where(gaps > 0, 2.0 ** (-HPSTREAM_DECAY_RATE * gaps), 1.0)[:, None]
+        self._weight *= factor[:, 0]
+        self._linear *= factor
+        self._squared *= factor
         self._last_fade[:] = t
-        means = _centroid(self._weight, self._linear)
+        self._faded = True
+        means = np.divide(self._linear, self._weight[:, None], out=self._means)
         radii = _radii(self._weight, self._squared, means)
         bits = assign_projected_dims(radii, self.dims)
         self._bits = bits
         d2 = (x - means) ** 2
-        dists = np.sqrt((d2 * bits).sum(axis=1) / bits.sum(axis=1))
+        dists = np.sqrt(np.add.reduce(d2 * bits, axis=1) / np.add.reduce(bits, axis=1))
         near = int(np.argmin(dists))
-        limit = HPSTREAM_SPREAD_RADIUS_FACTOR * radii[near, bits[near]].mean()
+        near_radii = radii[near, bits[near]]
+        limit = HPSTREAM_SPREAD_RADIUS_FACTOR * (np.add.reduce(near_radii) / len(near_radii))
         if dists[near] <= limit:
             self._weight[near] += 1.0
             self._linear[near] += x
             self._squared[near] += x * x
             self._last_update[near] = t
+            means[near] = self._linear[near] / self._weight[near]
         else:
             self._seed(int(np.argmin(self._last_update)), x, t)
 
     def vectors(self):
-        if self.size == 0:
-            return np.zeros((0, 0))
-        return _centroid(self._weight[: self.size], self._linear[: self.size])
+        return self._means[: self.size]
 
     def memory_units(self):
         return 2 * self.size
 
 
 class BufferManager:
-    """Per-class buffers behind one insert/contents interface.
+    """Per-class stores over one prototype array, behind one insert/contents
+    interface.
 
-    Buffers are created lazily on the first sample of each class so the
+    Class c owns rows [c*B, (c+1)*B) of a (num_classes*B, d) array. B is
+    the capacity, twice it for clustream's staging pool, and for full 16
+    rows that double whenever a class fills its block. Each store keeps its
+    prototypes in its own block, so they are read where they live:
+    ``filled`` gives the array with the index of its filled rows in
+    (class, slot) order, rebuilt only when a class's size changes, and
+    ``contents`` gathers a fresh copy through that index.
+
+    Stores are created lazily on the first sample of each class so the
     feature dimension never has to be declared up front: the first insert
-    fixes it, and every later sample must be a 1-D vector of that length.
-    ``contents`` returns prototypes in deterministic (class, slot) order.
+    fixes it, and every later sample must be a finite 1-D vector of that
+    length.
     """
 
     def __init__(self, strategy: str, capacity: int, num_classes: int, seed: int = 0):
@@ -512,28 +550,44 @@ class BufferManager:
         self.seed = require_int(seed, "seed")
         if self.seed < 0:
             raise UsageError(f"seed must be non-negative, got {seed}")
-        self._dim: int | None = None
-        self._buffers: dict[int, object] = {}
         if strategy == "exstream" and capacity < 2:
             raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
+        self._dim: int | None = None
+        self._block = {"clustream": CLUSTREAM_INIT_MULTIPLIER * capacity,
+                       "full": 16}.get(strategy, capacity)
+        self._rows = np.zeros((0, 0))
+        self._buffers: dict[int, object] = {}
+        self._sizes = np.zeros(num_classes, dtype=np.int64)
+        self._index: np.ndarray | None = None
 
-    def _make_buffer(self, label, dim):
-        s = self.strategy
+    def _class_rows(self, label):
+        return self._rows[label * self._block:(label + 1) * self._block]
+
+    def _make_buffer(self, label):
+        s, rows = self.strategy, self._class_rows(label)
         if s == "exstream":
-            return ExStreamBuffer(self.capacity)
+            return ExStreamBuffer(self.capacity, rows)
         if s == "online_kmeans":
-            return OnlineKMeansBuffer(self.capacity)
+            return OnlineKMeansBuffer(self.capacity, rows)
         if s == "clustream":
             rng = np.random.default_rng([self.seed, 5, label])
-            return CluStreamBuffer(self.capacity, rng)
+            return CluStreamBuffer(self.capacity, rng, rows)
         if s == "hpstream":
-            return HPStreamBuffer(self.capacity, dim)
+            return HPStreamBuffer(self.capacity, self._dim, rows)
         if s == "reservoir":
             rng = np.random.default_rng([self.seed, 4, label])
-            return ReservoirBuffer(self.capacity, rng)
+            return ReservoirBuffer(self.capacity, rng, rows)
         if s == "queue":
-            return QueueBuffer(self.capacity)
-        return FullBuffer()
+            return QueueBuffer(self.capacity, rows)
+        return SlotStore(self._block, rows)  # full: grown by _grow before it overflows
+
+    def _grow(self):
+        """Double every class block of full's array; stores keep their rows."""
+        self._block *= 2
+        self._rows = np.zeros((self.num_classes * self._block, self._dim))
+        for label, store in self._buffers.items():
+            store.move_to(self._class_rows(label))
+        self._index = None
 
     def insert(self, x, label: int, t: float):
         """Route one sample into its class buffer at stream time t, a finite number."""
@@ -542,28 +596,44 @@ class BufferManager:
             raise UsageError(f"class label {label} outside [0, {self.num_classes})")
         t = require_real(t, "stream time t")
         x = np.asarray(x, dtype=np.float64)
-        if self._dim is None and x.ndim == 1 and len(x):
-            self._dim = len(x)
-        if x.shape != (self._dim,):
+        dim = self._dim or (len(x) if x.ndim == 1 else 0)
+        if dim == 0 or x.shape != (dim,):
             raise UsageError(f"sample must be a 1-D vector of length {self._dim or '>= 1'}, "
                              f"got shape {x.shape}")
-        if label not in self._buffers:
-            self._buffers[label] = self._make_buffer(label, self._dim)
-        self._buffers[label].insert(x, t)
+        if not np.isfinite(x).all():
+            raise UsageError("sample values must be finite numbers")
+        if self._dim is None:
+            self._dim = dim
+            self._rows = np.zeros((self.num_classes * self._block, dim))
+        store = self._buffers.get(label)
+        if store is None:
+            store = self._buffers[label] = self._make_buffer(label)
+        elif self.strategy == "full" and store.size == store.capacity:
+            self._grow()
+        store.insert(x, t)
+        if store.size != self._sizes[label]:
+            self._sizes[label] = store.size
+            self._index = None
+
+    def filled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(prototypes, index, labels): the live prototype array, the rows
+        of it that hold prototypes in (class, slot) order, and their class
+        labels. Callers only read them, and only until the next insert;
+        rehearsal gathers its minibatches through them."""
+        if self._index is None:
+            sizes = self._sizes
+            self._labels = np.repeat(np.arange(self.num_classes, dtype=np.int64), sizes)
+            first = np.arange(self.num_classes, dtype=np.int64) * self._block
+            shift = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+            self._index = np.arange(len(self._labels), dtype=np.int64) + shift
+            self._index.flags.writeable = self._labels.flags.writeable = False
+        return self._rows, self._index, self._labels
 
     def contents(self) -> tuple[np.ndarray, np.ndarray]:
-        """All stored prototypes as (vectors, labels), classes in order."""
-        blocks = []
-        classes = []
-        for cls, buf in sorted(self._buffers.items()):
-            vecs = buf.vectors()
-            if len(vecs):
-                blocks.append(vecs)
-                classes.append(cls)
-        if not blocks:
-            return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        labels = np.repeat(np.array(classes, dtype=np.int64), [len(v) for v in blocks])
-        return np.concatenate(blocks, axis=0), labels
+        """All stored prototypes as (vectors, labels), classes in order: a
+        fresh copy, gathered through ``filled``."""
+        rows, index, labels = self.filled()
+        return rows.take(index, axis=0), labels.copy()
 
     def memory_cost(self) -> int:
         """Total units held: 2 per micro/faded cluster, 1 per stored vector."""

@@ -66,10 +66,13 @@ class Split:
                              int(self.frames[i]), self.name)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Train and test Splits sharing one feature dimension and a dense label
-    set. Either split may be given as a sequence of LabeledSample."""
+    set. Either split may be given as a sequence of LabeledSample.
+
+    Datasets compare by identity; compare content through the arrays
+    (``train_arrays``, ``test_arrays`` and each Split's id arrays)."""
 
     train: Split
     test: Split

@@ -88,12 +88,14 @@ def event_times(num_samples: int, eval_every: int) -> list[int]:
 
 def rehearsal_update(model: MLPClassifier, manager: BufferManager,
                      shuffle_rng: np.random.Generator) -> None:
-    """One shuffled pass over the buffer contents (mlp.train_epochs), so
-    each prototype receives exactly one gradient step. An empty buffer is
-    a no-op that draws nothing from shuffle_rng."""
-    vectors, labels = manager.contents()
-    if len(vectors):
-        train_epochs(model, vectors, labels, shuffle_rng, 1)
+    """One shuffled pass over the stored prototypes (mlp.train_epochs), so
+    each receives exactly one gradient step. Minibatches are gathered
+    straight from the manager's prototype array, with no copy of the whole
+    buffer first. An empty buffer is a no-op that draws nothing from
+    shuffle_rng."""
+    prototypes, index, labels = manager.filled()
+    if len(index):
+        train_epochs(model, prototypes, labels, shuffle_rng, 1, index)
 
 
 def run_offline_baseline(dataset: Dataset, config: RunConfig,

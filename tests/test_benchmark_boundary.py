@@ -10,10 +10,11 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import protostream.protocol as P
-from protostream import (Dataset, LabeledSample, MLPConfig, RunConfig, StreamOrdering,
-                         SynthSpec, l2_normalize, omega_score, synth_gaussian)
+from protostream import (STRATEGIES, Dataset, LabeledSample, MLPConfig, RunConfig,
+                         StreamOrdering, SynthSpec, l2_normalize, omega_score, synth_gaussian)
 from protostream.buffers import ExStreamBuffer
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,6 +50,25 @@ def test_streaming_and_offline_spans_are_recorded():
     for span in ("mlp.train_minibatch", "buffers.insert.exstream",
                  "protocol.rehearsal_update", "mlp.fit_offline"):
         assert span in names, span
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rehearsal_steps_are_recorded_for_every_strategy(strategy):
+    """Every sample's rehearsal pass is a protocol.rehearsal_update span
+    holding its mlp.train_minibatch step (one: the batch exceeds the buffer)."""
+    tracing = load_tracing()
+    ds = synth_gaussian(SynthSpec(3, 6, 12, 4, class_mean_separation=6.0, seed=0))
+    config = RunConfig(strategy, 0 if strategy == "full" else 4, StreamOrdering("iid", 0),
+                       MLPConfig(layer_sizes=(8,), learning_rate=0.1, batch_size=64),
+                       eval_every=12)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        P.execute_run(ds, config)
+    names, parents = tracer.names, tracer.parents
+    rehearsals = [i for i, n in enumerate(names) if n == "protocol.rehearsal_update"]
+    steps = [parents[i] for i, n in enumerate(names) if n == "mlp.train_minibatch"]
+    assert len(rehearsals) == len(ds.train) == names.count(f"buffers.insert.{strategy}")
+    assert sorted(steps) == rehearsals
 
 
 def test_workload_call_shapes():

@@ -7,7 +7,8 @@ they share no code with the implementations they check.
 import numpy as np
 import pytest
 
-from protostream import BufferManager, UsageError, assign_projected_dims, kmeans_lloyd
+from protostream import (BufferManager, STRATEGIES, UsageError, assign_projected_dims,
+                         kmeans_lloyd)
 from protostream.buffers import (CLUSTREAM_HORIZON, HPSTREAM_SPEED, CluStreamBuffer,
                                  ExStreamBuffer, HPStreamBuffer, OnlineKMeansBuffer,
                                  QueueBuffer, ReservoirBuffer, _centroid, _radii,
@@ -72,6 +73,17 @@ def sim_projected_bits(radii, per_cluster):
     for i in range(k):
         if not any(bits[i]):
             bits[i][min(range(d), key=lambda j: (radii[i][j], j))] = True
+    return bits
+
+
+def stable_sort_bits(radii, per_cluster):
+    """The k*l smallest radii picked by a stable sort of the flat array."""
+    k, d = radii.shape
+    bits = np.zeros(k * d, dtype=bool)
+    bits[np.argsort(radii.ravel(), kind="stable")[: k * per_cluster]] = True
+    bits = bits.reshape(k, d)
+    empty = np.flatnonzero(~bits.any(axis=1))
+    bits[empty, np.argmin(radii[empty], axis=1)] = True
     return bits
 
 
@@ -366,6 +378,20 @@ class TestFadedCluster:
         np.testing.assert_allclose(radii, [0.0, 2.0])
 
 
+class TestRadii:
+    def test_equals_full_formula_for_mixed_weights(self):
+        rng = np.random.default_rng(17)
+        weight = np.array([0.25, 1.0, 1.0 + 1e-12, 2.5, 0.9, 7.0])
+        linear = rng.standard_normal((6, 5)) * weight[:, None]
+        squared = linear ** 2 / weight[:, None] + rng.random((6, 5))
+        centroid = _centroid(weight, linear)
+        var = squared / weight[:, None] - centroid * centroid
+        want = np.where(weight[:, None] <= 1.0, 0.0, np.sqrt(np.maximum(var, 0.0)))
+        np.testing.assert_array_equal(_radii(weight, squared, centroid), want)
+        for i in range(6):  # one row at a time
+            np.testing.assert_array_equal(_radii(weight[i], squared[i], centroid[i]), want[i])
+
+
 class TestProjectedDims:
     def test_smallest_radii_win(self):
         bits = assign_projected_dims(np.array([[0.1, 5.0], [0.2, 4.0]]), 1)
@@ -389,6 +415,17 @@ class TestProjectedDims:
             got = assign_projected_dims(radii, per)
             want = sim_projected_bits(radii.tolist(), per)
             np.testing.assert_array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("kind", ["zeros", "ties", "random", "nan"])
+    def test_matches_stable_sort_at_64_by_64(self, kind):
+        rng = np.random.default_rng(21)
+        radii = {"zeros": np.zeros((64, 64)),
+                 "ties": np.round(rng.random((64, 64)) * 3) / 3,
+                 "random": rng.random((64, 64)),
+                 "nan": np.where(rng.random((64, 64)) < 0.6, np.nan, rng.random((64, 64)))}[kind]
+        for per in (1, 7, 32, 64):
+            np.testing.assert_array_equal(assign_projected_dims(radii, per),
+                                          stable_sort_bits(radii, per))
 
     def test_invalid_budget(self):
         with pytest.raises(UsageError):
@@ -625,3 +662,87 @@ class TestBufferManager:
         assert fill(0) == fill(0)
         distinct = {tuple(fill(s)) for s in range(10)}
         assert len(distinct) > 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_non_finite_sample_rejected(self, strategy, bad):
+        mgr = BufferManager(strategy, 2, num_classes=2)
+        for i in range(3):
+            mgr.insert([float(i), 2.0], 0, i + 1)
+        before, cost = mgr.contents(), mgr.memory_cost()
+        for label in (0, 1):
+            with pytest.raises(UsageError, match="finite"):
+                mgr.insert([bad, 0.0], label, 4)
+        after = mgr.contents()
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
+        assert mgr.memory_cost() == cost
+
+    def test_non_finite_first_sample_leaves_dimension_open(self):
+        mgr = BufferManager("queue", 2, num_classes=1)
+        with pytest.raises(UsageError, match="finite"):
+            mgr.insert([1.0, np.nan, 3.0], 0, 1)
+        mgr.insert([1.0, 2.0], 0, 2)
+        assert mgr.contents()[0].shape == (1, 2)
+
+
+def class_reference(strategy, capacity, label, seed, dim):
+    """A store of its own for one class, fed what the manager's class gets."""
+    if strategy == "exstream":
+        return ExStreamBuffer(capacity)
+    if strategy == "online_kmeans":
+        return OnlineKMeansBuffer(capacity)
+    if strategy == "clustream":
+        return CluStreamBuffer(capacity, np.random.default_rng([seed, 5, label]))
+    if strategy == "hpstream":
+        return HPStreamBuffer(capacity, dim)
+    if strategy == "reservoir":
+        return ReservoirBuffer(capacity, np.random.default_rng([seed, 4, label]))
+    if strategy == "queue":
+        return QueueBuffer(capacity)
+    return None  # full keeps the class's rows in a list
+
+
+class TestManagerArray:
+    """Every store writes into the manager's one prototype array; reads
+    through it must equal a per-class concatenation after every insert."""
+
+    @pytest.mark.parametrize("ordering", ["iid", "class_iid"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_contents_equals_per_class_concatenation(self, strategy, ordering):
+        classes, capacity, dim, seed = 3, 4, 3, 7
+        rng = np.random.default_rng(5)
+        labels = rng.integers(classes, size=120)  # 40 per class on average: full doubles twice
+        if ordering == "class_iid":
+            labels = np.sort(labels)
+        rows = gaussian_stream(120, dim, seed=2)
+        mgr = BufferManager(strategy, capacity if strategy != "full" else 0, classes, seed=seed)
+        refs, seen = {}, {}
+        for t, (x, c) in enumerate(zip(rows, labels.tolist()), start=1):
+            mgr.insert(x, c, t)
+            if c not in seen:
+                refs[c], seen[c] = class_reference(strategy, capacity, c, seed, dim), []
+            seen[c].append(x)
+            if refs[c] is not None:
+                refs[c].insert(x, t)
+            blocks = [np.array(seen[k]) if refs[k] is None else refs[k].vectors()
+                      for k in sorted(refs)]
+            want = np.concatenate(blocks)
+            want_labels = np.repeat(sorted(refs), [len(b) for b in blocks])
+            got, got_labels = mgr.contents()
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape, t
+            np.testing.assert_array_equal(got_labels, want_labels)
+            prototypes, index, filled_labels = mgr.filled()
+            assert prototypes[index].tobytes() == want.tobytes()
+            np.testing.assert_array_equal(filled_labels, want_labels)
+        if strategy == "clustream":
+            assert all(ref.initialized for ref in refs.values())
+
+    def test_contents_is_a_copy(self):
+        mgr = BufferManager("queue", 2, num_classes=1)
+        mgr.insert([1.0, 2.0], 0, 1)
+        vectors, labels = mgr.contents()
+        vectors[:] = 0.0
+        labels[:] = 5
+        np.testing.assert_array_equal(mgr.contents()[0], [[1.0, 2.0]])
+        np.testing.assert_array_equal(mgr.contents()[1], [0])

@@ -256,6 +256,14 @@ class TestDataset:
         with pytest.raises(UsageError, match="split"):
             Split(np.zeros(4), [0], [0], [0], "train")
 
+    def test_datasets_compare_by_identity(self):
+        spec = SynthSpec(3, 6, 12, 5, instances_per_class=2, seed=4)
+        a, b = synth_gaussian(spec), synth_gaussian(spec)
+        assert a == a and a != b
+        for (xa, ya), (xb, yb) in ((a.train_arrays(), b.train_arrays()),
+                                   (a.test_arrays(), b.test_arrays())):
+            assert xa.tobytes() == xb.tobytes() and ya.tobytes() == yb.tobytes()
+
     def test_empty_split_keeps_dimension(self):
         ds = Dataset([LabeledSample(np.ones(3), 0, 0, 0, "train")], [], 1, 3)
         x, y = ds.test_arrays()

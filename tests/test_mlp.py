@@ -8,7 +8,7 @@ import pytest
 from protostream import (MLPClassifier, MLPConfig, NumericError, UsageError,
                          evaluate_accuracy, fit_offline, synth_gaussian,
                          SynthSpec)
-from protostream.mlp import BN_MOMENTUM, minibatch_slices
+from protostream.mlp import BN_MOMENTUM, log_softmax, minibatch_slices
 
 
 def small_model(layer_sizes=(4,), dim=5, num_classes=3, **kw):
@@ -375,6 +375,39 @@ class TestTraining:
         for _ in range(30):
             last = model.train_minibatch(x, y)
         assert last < first / 2
+
+
+class TestLogSoftmax:
+    """The row maximum and the label pick take faster routes than the plain
+    formula; both must give the plain formula's bits."""
+
+    @staticmethod
+    def plain(logits):
+        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+
+    def test_equals_plain_formula(self):
+        rng = np.random.default_rng(31)
+        for m, k in ((1, 2), (7, 3), (256, 8), (33, 10)):
+            for logits in (rng.standard_normal((m, k)) * 5,
+                           np.round(rng.standard_normal((m, k))),  # ties and zeros
+                           -np.zeros((m, k))):
+                assert log_softmax(logits).tobytes() == self.plain(logits).tobytes()
+
+    def test_loss_and_head_gradient_use_two_dimensional_pick(self):
+        model = small_model(layer_sizes=(), num_classes=4)
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((9, 5))
+        y = rng.integers(4, size=9)
+        loss, grads, _ = model.loss_and_gradients(x, y)
+        log_probs = self.plain(x @ model.weights[0] + model.biases[0])
+        rows = np.arange(9)
+        assert loss == -float(np.add.reduce(log_probs[rows, y]) / 9)
+        dz = np.exp(log_probs)
+        dz[rows, y] -= 1.0
+        dz /= 9
+        assert grads["w0"].tobytes() == (x.T @ dz).tobytes()
+        assert grads["b0"].tobytes() == np.add.reduce(dz, axis=0).tobytes()
 
 
 class TestInPlaceStep:

@@ -1,5 +1,7 @@
 """Streaming protocol: event grid, rehearsal pass, end-to-end runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,26 @@ class TestRehearsalUpdate:
         model.train_minibatch = spy
         rehearsal_update(model, manager, np.random.default_rng(0))
         assert sizes == [2, 2, 1]
+
+    def test_warm_pass_copies_no_buffer_sized_array(self):
+        """Rehearsal gathers each minibatch from the manager's array; the
+        stored prototypes are never copied whole."""
+        model = MLPClassifier(MLPConfig(layer_sizes=(), batch_size=16, seed=0), 32, 4)
+        manager = BufferManager("exstream", 16, num_classes=4)
+        rows = np.random.default_rng(3).standard_normal((100, 32))
+        for t, x in enumerate(rows, start=1):
+            manager.insert(x, t % 4, t)
+        prototypes = manager.contents()[0]
+        assert prototypes.shape == (64, 32)
+        rng = np.random.default_rng(0)
+        rehearsal_update(model, manager, rng)  # warm
+        tracemalloc.start()
+        try:
+            rehearsal_update(model, manager, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < prototypes.nbytes
 
 
 class TestRunStreaming:
