@@ -30,10 +30,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UsageError, require_int, require_real
+from .errors import UsageError, require_int, require_real, require_seed
 
 STRATEGIES = ("exstream", "online_kmeans", "clustream", "hpstream", "reservoir", "queue", "full")
 BOUNDED_STRATEGIES = tuple(s for s in STRATEGIES if s != "full")
+
+
+def check_capacity(strategy: str, capacity: int, what: str = "capacity") -> None:
+    """The capacity rule: a bounded strategy needs at least one slot, and
+    exstream two, to merge a closest pair; any other method takes any."""
+    least = 2 if strategy == "exstream" else int(strategy in BOUNDED_STRATEGIES)
+    if capacity < least:
+        raise UsageError(f"{strategy} needs capacity >= {least}, got {what} {capacity}")
 
 
 # CluStream: eviction horizon in samples, RMS boundary factor, and the
@@ -155,8 +163,7 @@ class ExStreamBuffer(SlotStore):
     """
 
     def __init__(self, capacity: int, rows: np.ndarray | None = None):
-        if capacity < 2:
-            raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
+        check_capacity("exstream", capacity)
         super().__init__(capacity, rows)
 
     def overflow(self, x):
@@ -228,8 +235,7 @@ class CluStreamBuffer:
 
     def __init__(self, capacity: int, rng: np.random.Generator,
                  rows: np.ndarray | None = None):
-        if capacity < 1:
-            raise UsageError("capacity must be at least 1")
+        check_capacity("clustream", capacity)
         self.capacity = capacity
         self.rng = rng
         self.staging: SlotStore | None = SlotStore(CLUSTREAM_INIT_MULTIPLIER * capacity, rows)
@@ -454,8 +460,7 @@ class HPStreamBuffer:
     """
 
     def __init__(self, capacity: int, dim: int, rows: np.ndarray | None = None):
-        if capacity < 1:
-            raise UsageError("capacity must be at least 1")
+        check_capacity("hpstream", capacity)
         self.capacity = capacity
         self.dims = max(1, dim // 2)
         self.size = 0
@@ -464,17 +469,14 @@ class HPStreamBuffer:
         self._linear = np.zeros((capacity, dim))
         self._squared = np.zeros((capacity, dim))
         self._last_update = np.zeros(capacity)
-        self._last_fade = np.zeros(capacity)
-        self._bits = np.zeros((capacity, dim), dtype=bool)
-        self._faded = False  # True once every cluster shares one fade time
+        # every cluster last faded at this time: one seeded since was seeded then
+        self._fade_time: float | None = None
 
     def _seed(self, i, x, t):
         self._weight[i] = 1.0
         self._linear[i] = x
         self._squared[i] = x * x
         self._last_update[i] = t
-        self._last_fade[i] = t
-        self._bits[i] = False
         self._means[i] = x  # x / weight 1
 
     def insert(self, x, t_sample):
@@ -483,19 +485,18 @@ class HPStreamBuffer:
             self._seed(self.size, x, t)
             self.size += 1
             return
-        # after the first fade every cluster last faded at the same time, so
-        # one factor fades them all
-        gaps = t - self._last_fade[:1 if self._faded else None]
+        # the first fade covers each cluster's gap since its seeding, later ones
+        # one shared gap, kept an array: numpy's power may round unlike float's
+        gaps = (t - self._last_update if self._fade_time is None
+                else np.array([t - self._fade_time]))
         factor = np.where(gaps > 0, 2.0 ** (-HPSTREAM_DECAY_RATE * gaps), 1.0)[:, None]
         self._weight *= factor[:, 0]
         self._linear *= factor
         self._squared *= factor
-        self._last_fade[:] = t
-        self._faded = True
+        self._fade_time = t
         means = np.divide(self._linear, self._weight[:, None], out=self._means)
         radii = _radii(self._weight, self._squared, means)
         bits = assign_projected_dims(radii, self.dims)
-        self._bits = bits
         d2 = (x - means) ** 2
         dists = np.sqrt(np.add.reduce(d2 * bits, axis=1) / np.add.reduce(bits, axis=1))
         near = int(np.argmin(dists))
@@ -542,22 +543,16 @@ class BufferManager:
         num_classes = require_int(num_classes, "num_classes")
         if num_classes < 1:
             raise UsageError("num_classes must be at least 1")
-        if strategy != "full" and capacity < 1:
-            raise UsageError("bounded strategies need capacity >= 1")
+        check_capacity(strategy, capacity)
         self.strategy = strategy
         self.capacity = capacity
         self.num_classes = num_classes
-        self.seed = require_int(seed, "seed")
-        if self.seed < 0:
-            raise UsageError(f"seed must be non-negative, got {seed}")
-        if strategy == "exstream" and capacity < 2:
-            raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
+        self.seed = require_seed(seed)
         self._dim: int | None = None
         self._block = {"clustream": CLUSTREAM_INIT_MULTIPLIER * capacity,
                        "full": 16}.get(strategy, capacity)
         self._rows = np.zeros((0, 0))
         self._buffers: dict[int, object] = {}
-        self._sizes = np.zeros(num_classes, dtype=np.int64)
         self._index: np.ndarray | None = None
 
     def _class_rows(self, label):
@@ -610,9 +605,9 @@ class BufferManager:
             store = self._buffers[label] = self._make_buffer(label)
         elif self.strategy == "full" and store.size == store.capacity:
             self._grow()
+        size = store.size
         store.insert(x, t)
-        if store.size != self._sizes[label]:
-            self._sizes[label] = store.size
+        if store.size != size:
             self._index = None
 
     def filled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -621,7 +616,8 @@ class BufferManager:
         labels. Callers only read them, and only until the next insert;
         rehearsal gathers its minibatches through them."""
         if self._index is None:
-            sizes = self._sizes
+            sizes = np.array([self._buffers[c].size if c in self._buffers else 0
+                              for c in range(self.num_classes)], dtype=np.int64)
             self._labels = np.repeat(np.arange(self.num_classes, dtype=np.int64), sizes)
             first = np.arange(self.num_classes, dtype=np.int64) * self._block
             shift = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)

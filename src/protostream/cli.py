@@ -13,10 +13,12 @@ import os
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .buffers import BOUNDED_STRATEGIES
 from .data import (Dataset, ORDERING_KINDS, StreamOrdering, SynthSpec,
                    load_feature_matrix, load_manifest, synth_gaussian, write_dataset)
 from .errors import DataFormatError, NumericError, UsageError, require_int
@@ -236,15 +238,13 @@ def cmd_run(args) -> int:
         sizes = (LARGE_LABEL_SET_SIZES if dataset.num_classes >= LARGE_LABEL_SET_MIN
                  else SMALL_LABEL_SET_SIZES)
     sizes = _ints(sizes, "buffer_sizes")
-    if any(b < 1 for b in sizes):
-        raise UsageError("buffer_sizes must be positive")
 
     eval_every = require_int(sweep.get("eval_every", 1), "eval_every")
     mlp_payload = _convert(dict, sweep.get("mlp", {}), "mlp")
 
     tasks = []
     for method in methods:
-        per_method_sizes = [0] if method in ("full", "no_buffer") else sizes
+        per_method_sizes = sizes if method in BOUNDED_STRATEGIES else [0]
         for b in per_method_sizes:
             for ordering in orderings:
                 for seed in seeds:
@@ -268,7 +268,8 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    done, intact = _completed_run_ids(out)
+    runs, intact = _read_log(out)
+    done = {run_id: run.terminal.get("config") for run_id, run in runs.items() if run.terminal}
     for task in tasks:
         run_id = task["run_id"]
         if run_id in done and done[run_id] != _config_hash(task):
@@ -321,16 +322,33 @@ def _log_records(path):
             yield record, end
 
 
-def _completed_run_ids(path: Path) -> tuple[dict[str, str | None], int]:
-    """The config hash of each run with a terminal record (None where the
-    record has none), and the byte length of the log's intact part
-    (everything up to its last newline)."""
-    done, intact = {}, 0
+@dataclass
+class _LoggedRun:
+    """One run of a results log: its RUN_FIELDS, its events as {t: accuracy},
+    and its terminal record (None while it has none)."""
+
+    meta: dict
+    events: dict[int, float] = field(default_factory=dict)
+    terminal: dict | None = None
+
+
+def _read_log(path: Path) -> tuple[dict[str, _LoggedRun], int]:
+    """Each run of a results log by run_id, in order of first appearance,
+    and the byte length of the log's intact part (up to its last newline);
+    ``run`` resumes from it and ``report`` scores it. The last record of a
+    (run, t) wins, so a run re-executed after a partial write never counts
+    an event twice."""
+    runs, intact = {}, 0
     if path.exists():
         for record, intact in _log_records(path):
+            run = runs.get(record["run_id"])
+            if run is None:
+                run = runs[record["run_id"]] = _LoggedRun({k: record[k] for k in RUN_FIELDS})
+            if "t" in record:
+                run.events[int(record["t"])] = float(record["accuracy"])
             if "memory_cost" in record:
-                done[record["run_id"]] = record.get("config")
-    return done, intact
+                run.terminal = record
+    return runs, intact
 
 
 def _config_hash(task) -> str:
@@ -384,11 +402,11 @@ def cmd_report(args) -> int:
     if "dataset" not in baseline or "accuracy" not in baseline:
         raise DataFormatError(f"{args.baseline}: baseline needs dataset and accuracy fields")
 
-    events, metas, finished = _read_events(results_path)
-    if not events:
+    runs, _ = _read_log(results_path)
+    if not any(run.events for run in runs.values()):
         raise DataFormatError(f"{results_path}: no event records to report")
 
-    omegas = _per_run_omegas(events, metas, finished, baseline)
+    omegas = _per_run_omegas(runs, baseline)
     if not omegas:
         raise DataFormatError(f"{results_path}: no run has finished")
     table_rows, plot_rows = _aggregate(omegas)
@@ -405,46 +423,24 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _read_events(path):
-    """Collect event records keyed by (run_id, t), last record winning, so a
-    rerun after a partially-written run never double-counts events, and
-    the ids of runs with a terminal record."""
-    events: dict[tuple[str, int], float] = {}
-    metas: dict[str, dict] = {}
-    finished: set[str] = set()
-    for record, _ in _log_records(path):
-        run_id = record["run_id"]
-        metas.setdefault(run_id, {k: record[k] for k in RUN_FIELDS})
-        if "t" in record:
-            events[(run_id, int(record["t"]))] = float(record["accuracy"])
-        if "memory_cost" in record:
-            finished.add(run_id)
-    return events, metas, finished
-
-
-def _per_run_omegas(events, metas, finished, baseline):
-    """Omega per finished run; runs without a terminal record are skipped
-    (and counted on stderr), since their curves may be cut short."""
-    by_run: dict[str, list[tuple[int, float]]] = {}
-    for (run_id, t), accuracy in events.items():
-        by_run.setdefault(run_id, []).append((t, accuracy))
-    unfinished = [run_id for run_id in by_run if run_id not in finished]
+def _per_run_omegas(runs, baseline):
+    """Omega per finished run with events; runs without a terminal record
+    are skipped (and counted on stderr): their curves may be cut short."""
+    unfinished = [run for run in runs.values() if run.events and not run.terminal]
     if unfinished:
         print(f"skipped {len(unfinished)} unfinished run(s) with no terminal record",
               file=sys.stderr)
 
     omegas = []
-    for run_id, pairs in by_run.items():
-        if run_id not in finished:
+    for run_id, run in runs.items():
+        if not (run.events and run.terminal):
             continue
-        meta = metas[run_id]
+        meta = run.meta
         if meta["dataset"] != baseline["dataset"]:
             raise DataFormatError(
                 f"run {run_id} is for dataset {meta['dataset']!r} but the baseline "
                 f"covers {baseline['dataset']!r}")
-        pairs.sort()
-        times = np.array([t for t, _ in pairs])
-        values = np.array([a for _, a in pairs])
+        times, values = map(np.array, zip(*sorted(run.events.items())))
         offline = np.full(len(times), float(baseline["accuracy"]))
         stream = AccuracyCurve(times, values)
         off = AccuracyCurve(times, offline)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, UsageError, require_int
+from .errors import DataFormatError, UsageError, require_int, require_seed
 
 FEATURE_MAGIC = b"FEAT"
 FEATURE_VERSION = 1
@@ -110,6 +110,7 @@ class StreamOrdering:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", require_seed(self.seed))
         if self.kind not in ORDERING_KINDS:
             raise UsageError(f"unknown ordering kind {self.kind!r}; expected one of {ORDERING_KINDS}")
 
@@ -129,8 +130,9 @@ class SynthSpec:
 
     def __post_init__(self):
         for name in ("num_classes", "dim", "samples_per_class_train",
-                     "samples_per_class_test", "instances_per_class", "seed"):
+                     "samples_per_class_test", "instances_per_class"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", require_seed(self.seed))
         if self.num_classes < 1 or self.dim < 1:
             raise UsageError("num_classes and dim must be at least 1")
         if self.samples_per_class_train < 1 or self.samples_per_class_test < 1:

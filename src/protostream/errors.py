@@ -29,6 +29,14 @@ def require_int(value, what: str) -> int:
     return int(value)
 
 
+def require_seed(value, what: str = "seed") -> int:
+    """value as a non-negative int, the seeds numpy generators accept."""
+    seed = require_int(value, what)
+    if seed < 0:
+        raise UsageError(f"{what} must be non-negative, got {seed}")
+    return seed
+
+
 def require_real(value, what: str) -> float:
     """value as a float: finite Python and numpy reals pass; bool, str, NaN,
     +-inf and anything else is a UsageError naming what."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UsageError, require_int, require_real
+from .errors import NumericError, UsageError, require_int, require_real, require_seed
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -53,7 +53,7 @@ class MLPConfig:
         object.__setattr__(self, "layer_sizes",
                            tuple(require_int(w, "layer_sizes entry") for w in self.layer_sizes))
         object.__setattr__(self, "batch_size", require_int(self.batch_size, "batch_size"))
-        object.__setattr__(self, "seed", require_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", require_seed(self.seed))
         for name in ("dropout_keep", "weight_decay", "learning_rate"):
             object.__setattr__(self, name, require_real(getattr(self, name), name))
         if any(w < 1 for w in self.layer_sizes):

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buffers import BOUNDED_STRATEGIES, BufferManager, STRATEGIES
+from .buffers import BufferManager, STRATEGIES, check_capacity
 from .data import Dataset, StreamOrdering, order_stream
-from .errors import UsageError, require_int
+from .errors import UsageError, require_int, require_seed
 from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, train_epochs
 
 METHODS = STRATEGIES + ("no_buffer",)
@@ -65,15 +65,12 @@ class RunConfig:
     def __post_init__(self):
         self.buffer_size = require_int(self.buffer_size, "buffer_size")
         self.eval_every = require_int(self.eval_every, "eval_every")
-        self.buffer_seed = require_int(self.buffer_seed, "buffer_seed")
+        self.buffer_seed = require_seed(self.buffer_seed, "buffer_seed")
         if self.strategy not in METHODS:
             raise UsageError(f"unknown strategy {self.strategy!r}; expected one of {METHODS}")
         if self.eval_every < 1:
             raise UsageError("eval_every must be at least 1")
-        if self.strategy in BOUNDED_STRATEGIES and self.buffer_size < 1:
-            raise UsageError("bounded strategies need buffer_size >= 1")
-        if self.strategy == "exstream" and self.buffer_size < 2:
-            raise UsageError("exstream needs capacity >= 2 to merge a closest pair")
+        check_capacity(self.strategy, self.buffer_size, "buffer_size")
 
 
 def event_times(num_samples: int, eval_every: int) -> list[int]:

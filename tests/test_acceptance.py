@@ -61,14 +61,17 @@ def within_capacity(strategy, buf, capacity):
 
 def test_criterion_1_buffer_invariants():
     """Capacity, count conservation and weighted-sum conservation over
-    10k-sample streams (3 classes, 8 dims, sizes 2/8/32, 5 seeds)."""
+    10k-sample streams (3 classes, 8 dims, sizes 2/8/32, 5 seeds). The
+    verdict line gives the seconds spent on each strategy."""
     start = time.perf_counter()
+    spent = dict.fromkeys(BOUNDED_STRATEGIES, 0.0)
     for seed in range(5):
         rng = np.random.default_rng([1000, seed])
         x = rng.standard_normal((10000, 8))
         y = rng.integers(3, size=10000)
         per_class = [x[y == c] for c in range(3)]
         for strategy in BOUNDED_STRATEGIES:
+            began = time.perf_counter()
             for capacity in (2, 8, 32):
                 for label, points in enumerate(per_class):
                     buf = make_buffer(strategy, capacity, seed, label, 8)
@@ -86,8 +89,11 @@ def test_criterion_1_buffer_invariants():
                         truth = points.sum(axis=0)
                         rel = np.linalg.norm(kept - truth) / np.linalg.norm(truth)
                         assert rel <= 1e-6, (strategy, capacity, seed, label, rel)
+            spent[strategy] += time.perf_counter() - began
     elapsed = time.perf_counter() - start
-    verdict(1, "buffer invariants", elapsed < 30.0, f"{elapsed:.1f}s for 900k inserts")
+    per_strategy = ", ".join(f"{s} {t:.1f}s" for s, t in spent.items())
+    verdict(1, "buffer invariants", elapsed < 30.0,
+            f"{elapsed:.1f}s for 900k inserts: {per_strategy}")
 
 
 def sim_exstream_step(vecs, counts, x):

@@ -344,15 +344,16 @@ class TestFadedCluster:
         assert buf._weight[0] == 0.5 * 1.0 + 1.0
         np.testing.assert_array_equal(buf._linear[0], [0.5 * 2.0 + 2.0, 0.5 * 4.0 + 0.0])
         np.testing.assert_array_equal(buf._squared[0], [0.5 * 4.0 + 4.0, 0.5 * 16.0 + 0.0])
-        assert buf._last_fade[0] == 2.0 and buf._last_update[0] == 2.0
+        assert buf._fade_time == 2.0 and buf._last_update[0] == 2.0
 
     def test_absorb_after_fade(self):
         buf = self._buf(1, [([2.0, 4.0], 0.0), ([2.0, 0.0], 2.0)])
         assert buf._weight[0] == 1.5
         np.testing.assert_array_equal(buf._linear[0], [3.0, 2.0])
         np.testing.assert_array_equal(buf._squared[0], [6.0, 8.0])
-        np.testing.assert_array_equal(buf._bits[0], [True, False])
         centroid, radii = faded_centroid_radii(buf, 0)
+        np.testing.assert_array_equal(assign_projected_dims(radii[None], buf.dims)[0],
+                                      [True, False])
         np.testing.assert_allclose(centroid, [2.0, 4.0 / 3.0])
         np.testing.assert_allclose(radii, [0.0, np.sqrt(32.0 / 9.0)])
 
@@ -360,7 +361,7 @@ class TestFadedCluster:
         buf = self._buf(2, [([3.0, -1.0], 0.0), ([100.0, 100.0], 0.0)])
         np.testing.assert_array_equal(faded_centroid_radii(buf, 0)[1], [0.0, 0.0])
         buf.insert(np.array([100.0, 7.0]), 4.0 * HPSTREAM_SPEED)  # cluster 1 absorbs it
-        assert buf._weight[0] == 0.25 and buf._last_fade[0] == 4.0
+        assert buf._weight[0] == 0.25 and buf._fade_time == 4.0
         np.testing.assert_array_equal(faded_centroid_radii(buf, 0)[1], [0.0, 0.0])
 
     def test_fade_preserves_centroid_and_radii(self):
@@ -371,11 +372,28 @@ class TestFadedCluster:
         centroid, radii = faded_centroid_radii(buf, 1)
         buf.insert(np.array([50.0, 50.0]), 0.5 * HPSTREAM_SPEED)
         np.testing.assert_allclose(buf._weight[1], 2.0 * 2.0 ** -0.25)
-        assert buf._last_update[1] == 0.0 and buf._last_fade[1] == 0.5
+        assert buf._last_update[1] == 0.0 and buf._fade_time == 0.5
         after_centroid, after_radii = faded_centroid_radii(buf, 1)
         np.testing.assert_allclose(after_centroid, centroid)
         np.testing.assert_allclose(after_radii, radii)
         np.testing.assert_allclose(radii, [0.0, 2.0])
+
+    def test_first_fade_uses_each_seed_time_later_fades_one_gap(self):
+        # clusters seeded at t = 0, 1, 2; far probes at t = 4 and 6 are never
+        # absorbed (light clusters have radius 0) and replace the least
+        # recently updated cluster
+        buf = self._buf(3, [([0.0, 0.0], 0.0), ([10.0, 10.0], 1.0), ([20.0, 20.0], 2.0),
+                            ([100.0, 100.0], 4.0)])
+        # the first fade: cluster 1 by its gap of 3, cluster 2 by its gap of 2
+        np.testing.assert_allclose(buf._weight, [1.0, 2.0 ** -1.5, 0.5])
+        np.testing.assert_allclose(buf._linear[1], [10.0 * 2.0 ** -1.5] * 2)
+        buf.insert(np.array([200.0, 200.0]), 6.0 * HPSTREAM_SPEED)
+        # the second fade halves every cluster (gap 2 since the last fade),
+        # including cluster 2, seeded 4 units ago; cluster 1 is replaced
+        np.testing.assert_array_equal(buf._weight, [0.5, 1.0, 0.25])
+        np.testing.assert_array_equal(buf._linear, [[50.0, 50.0], [200.0, 200.0], [5.0, 5.0]])
+        np.testing.assert_array_equal(buf.vectors(), [[100.0, 100.0], [200.0, 200.0],
+                                                      [20.0, 20.0]])
 
 
 class TestRadii:

@@ -91,6 +91,14 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "sigma" in capsys.readouterr().err
 
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "s.json", SYNTH)
+        code = main(["synth", "--config", str(cfg), "--seed", "-1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestBaseline:
     def test_output_fields(self, workspace):
@@ -153,6 +161,16 @@ class TestBaseline:
                      "--config", str(cfg), "--seed", "9",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["seed"] == 9
+
+    def test_negative_seed_flag(self, workspace, tmp_path, capsys):
+        cfg = write_json(tmp_path / "b.json", {"dataset": "toy", "epochs": 1, "mlp": MLP})
+        assert main(["baseline",
+                     "--features", str(workspace["features"]),
+                     "--manifest", str(workspace["manifest"]),
+                     "--config", str(cfg), "--seed", "-1",
+                     "--out", str(tmp_path / "base.json")]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "base.json").exists()
 
 
 class TestRun:
@@ -267,6 +285,41 @@ class TestRun:
         assert (tmp_path / "report/omega_table.csv").read_bytes() == \
                (tmp_path / "full_report/omega_table.csv").read_bytes()
 
+    def test_run_re_executes_exactly_the_runs_report_skips(self, workspace, tmp_path,
+                                                            capsys):
+        """One log of three runs: s0 finished, s1 cut off before its terminal
+        record, and s2 executed again in full after a partial write."""
+        base = str(workspace["baseline"])
+        cfg = write_json(tmp_path / "sweep.json", sweep_config(
+            workspace, methods=["queue"], seeds=[0, 1, 2], buffer_sizes=[2]))
+        full = tmp_path / "full.jsonl"
+        assert main(["run", "--config", str(cfg), "--baseline", base, "--out", str(full)]) == 0
+        runs = {s: [r for r in read_jsonl(full) if r["seed"] == s] for s in (0, 1, 2)}
+        out = tmp_path / "results.jsonl"
+        records = runs[0] + runs[2][:1] + runs[1][:-1] + runs[2]
+        out.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+
+        def report(name):
+            assert main(["report", "--results", str(out), "--baseline", base,
+                         "--out", str(tmp_path / name)]) == 0
+            with open(tmp_path / name / "omega_table.csv", newline="") as fh:
+                return next(csv.DictReader(fh))["seeds"], capsys.readouterr().err
+
+        assert report("before") == ("2", "skipped 1 unfinished run(s) with no terminal record\n")
+        logged = out.read_bytes()
+        assert main(["run", "--config", str(cfg), "--baseline", base, "--out", str(out)]) == 0
+        assert "2 already complete, 1 to execute" in capsys.readouterr().out
+        appended = read_jsonl(out)[len(records):]
+        assert out.read_bytes().startswith(logged)
+        assert {r["run_id"] for r in appended} == {"toy-queue-b2-iid-s1"}
+        assert report("after") == ("3", "")
+        assert main(["report", "--results", str(full), "--baseline", base,
+                     "--out", str(tmp_path / "full_report")]) == 0
+        for name in ("omega_table.csv", "plot_data.csv"):
+            assert (tmp_path / "after" / name).read_bytes() == \
+                   (tmp_path / "full_report" / name).read_bytes()
+
     def test_wrong_baseline_dataset(self, workspace, tmp_path, capsys):
         bad = write_json(tmp_path / "base.json",
                          {"dataset": "other", "accuracy": 0.9, "seed": 0, "epochs": 1})
@@ -335,11 +388,13 @@ class TestRun:
         ("mlp", {**MLP, "learning_rate": "0.1"}, "learning_rate"),
         ("mlp", {**MLP, "weight_decay": float("inf")}, "weight_decay"),
         ("mlp", {**MLP, "dropout_keep": True}, "dropout_keep"),
+        ("seeds", [0, -1], "seed"),
+        ("buffer_sizes", [2, 0], "queue needs capacity >= 1, got buffer_size 0"),
     ], ids=["seeds", "eval_every", "layer_sizes", "features", "normalize_string",
             "buffer_size_fraction", "buffer_size_bool", "seed_bool",
             "eval_every_fraction", "batch_size_fraction", "layer_size_fraction",
             "learning_rate_nan", "learning_rate_string", "weight_decay_inf",
-            "dropout_keep_bool"])
+            "dropout_keep_bool", "seed_negative", "buffer_size_zero"])
     def test_malformed_sweep_value(self, workspace, tmp_path, capsys, key, value, named):
         assert self.run_exit(workspace, tmp_path, **{key: value}) == 2
         assert named in capsys.readouterr().err

@@ -337,6 +337,13 @@ class TestOrderStream:
         with pytest.raises(UsageError, match="ordering"):
             StreamOrdering("shuffled", 0)
 
+    @pytest.mark.parametrize("seed, match", [(-1, "non-negative"), (1.5, "integer"),
+                                             (True, "integer")],
+                             ids=["negative", "fraction", "bool"])
+    def test_seed_must_be_a_non_negative_integer(self, seed, match):
+        with pytest.raises(UsageError, match=match):
+            StreamOrdering("iid", seed)
+
 
 class TestSynthGaussian:
     def test_shapes_and_instances(self):
@@ -413,6 +420,8 @@ class TestSynthGaussian:
             for value in (10.5, 2.0, True, "3"):
                 with pytest.raises(UsageError, match=field):
                     SynthSpec(**{**kw, field: value})
+        with pytest.raises(UsageError, match="seed must be non-negative"):
+            SynthSpec(**{**kw, "seed": -1})
 
     def test_numpy_integers_accepted(self):
         spec = SynthSpec(np.int64(2), np.int32(4), 8, 4, seed=np.int64(3))

@@ -51,7 +51,7 @@ class TestConfig:
         for field, value in (("layer_sizes", [2.7]), ("layer_sizes", [True]),
                              ("layer_sizes", ["8"]), ("batch_size", 2.5),
                              ("batch_size", 8.0), ("batch_size", "8"),
-                             ("seed", 1.5), ("seed", True)):
+                             ("seed", 1.5), ("seed", True), ("seed", -1)):
             with pytest.raises(UsageError, match=field):
                 MLPConfig(**{field: value})
 

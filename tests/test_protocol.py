@@ -93,6 +93,10 @@ class TestRunConfig:
             RunConfig("queue", kw.pop("buffer_size"), StreamOrdering("iid", 0),
                       MLPConfig(), **kw)
 
+    def test_negative_buffer_seed_rejected(self):
+        with pytest.raises(UsageError, match="buffer_seed must be non-negative"):
+            RunConfig("queue", 4, StreamOrdering("iid", 0), MLPConfig(), buffer_seed=-1)
+
     def test_numpy_integers_stored_as_int(self):
         config = RunConfig("queue", np.int64(4), StreamOrdering("iid", 0), MLPConfig(),
                            eval_every=np.int32(2), buffer_seed=np.uint8(3))
