@@ -12,7 +12,7 @@ is free. Once full, each strategy decides how to compress:
                   mean and bump that prototype's count
 * clustream       micro-clusters (n, linear/squared sums, timestamp sums)
                   with an absorb boundary, horizon-based eviction and
-                  closest-pair merging, seeded from a staging store
+                  closest-pair merging, seeded by k-means over staged points
 * hpstream        exponentially faded projected clusters with per-cluster
                   dimension bit vectors
 * reservoir       classic reservoir sampling (replace with prob b/M)
@@ -88,6 +88,12 @@ def _radii(weight, squared, centroid):
         var = squared[heavy] / w[heavy][..., None] - c * c
         radii[heavy] = np.sqrt(np.maximum(var, 0.0))
     return radii
+
+
+def _point_row(x, *head):
+    """One point's row of a cluster-statistics matrix: the head columns,
+    then x and x * x."""
+    return np.concatenate((head, x, x * x))
 
 
 @lru_cache(maxsize=16)
@@ -216,21 +222,23 @@ class QueueBuffer(SlotStore):
 class CluStreamBuffer:
     """Micro-cluster store seeded by k-means over a staging pool.
 
-    Raw points are staged in a slot store until CLUSTREAM_INIT_MULTIPLIER
-    times b arrive, then Lloyd's algorithm (seeded k-means++ start) builds
-    exactly b micro-clusters. A new point joins its nearest cluster when
-    within CLUSTREAM_BOUNDARY_FACTOR times the cluster RMS deviation
-    (singletons use the distance to the nearest other centroid); otherwise
-    it opens a new cluster and the structure sheds one cluster, either by
-    evicting a cluster whose relevance stamp fell more than
-    CLUSTREAM_HORIZON samples behind, or by merging the closest pair.
-    Dropping a cluster keeps the others in order.
+    Raw points are staged in the store's block until
+    CLUSTREAM_INIT_MULTIPLIER times b arrive, then Lloyd's algorithm
+    (seeded k-means++ start) builds exactly b micro-clusters. A new point
+    joins its nearest cluster when within CLUSTREAM_BOUNDARY_FACTOR times
+    the cluster RMS deviation (singletons use the distance to the nearest
+    other centroid); otherwise it opens a new cluster and the structure
+    sheds one cluster, either by evicting a cluster whose relevance stamp
+    fell more than CLUSTREAM_HORIZON samples behind, or by merging the
+    closest pair. Dropping a cluster keeps the others in order.
 
-    The cluster features live in stacked arrays with one spare row, where
-    a new cluster waits until one is shed. The staging pool is ``rows``, a
-    (CLUSTREAM_INIT_MULTIPLIER * b, d) block (allocated on the first insert
-    when not given); once the clusters are built, its first b rows hold
-    their centroids, rewritten after every insert.
+    The block is ``rows``, (CLUSTREAM_INIT_MULTIPLIER * b, d), allocated on
+    the first insert when not given. Its first ``size`` rows are the
+    store's vectors: the staged points, then the b centroids, rewritten
+    after every insert. The cluster features are the columns of one
+    (b + 1, 3 + 2d) matrix, n, timestamp sum, timestamp squared sum, linear
+    sum and squared sum, with a spare row where a new cluster waits until
+    one is shed.
     """
 
     def __init__(self, capacity: int, rng: np.random.Generator,
@@ -238,56 +246,50 @@ class CluStreamBuffer:
         check_capacity("clustream", capacity)
         self.capacity = capacity
         self.rng = rng
-        self.staging: SlotStore | None = SlotStore(CLUSTREAM_INIT_MULTIPLIER * capacity, rows)
-        self._staged_t = np.zeros(self.staging.capacity)
-        self._n: np.ndarray | None = None
+        self.size = 0
+        pool = CLUSTREAM_INIT_MULTIPLIER * capacity
+        self._rows = np.zeros((pool, 0)) if rows is None else rows
+        self._staged_t = np.zeros(pool)
+        self._stats: np.ndarray | None = None
 
     @property
     def initialized(self):
-        return self._n is not None
+        return self._stats is not None
 
     def insert(self, x, t):
-        if self._n is None:
-            self._staged_t[self.staging.size] = t
-            self.staging.insert(x)
-            if self.staging.size == self.staging.capacity:
-                self._initialize()
-            return
-        self._stream_insert(x, float(t))
-        self._write_centroids()
-
-    def _write_centroids(self):
+        if self._stats is not None:
+            self._stream_insert(x, float(t))
+        else:
+            if self._rows.size == 0:
+                self._rows = np.zeros((len(self._staged_t), x.shape[0]))
+            self._rows[self.size] = x
+            self._staged_t[self.size] = t
+            self.size += 1
+            if self.size < len(self._staged_t):
+                return
+            self._initialize()
         k = self.capacity
-        np.divide(self._linear[:k], self._n[:k, None], out=self._cents)
+        np.divide(self._linear[:k], self._n[:k, None], out=self._rows[:k])
 
     def _initialize(self):
-        points, times = self.staging.vectors(), self._staged_t
-        labels = kmeans_lloyd(points, self.capacity, self.rng)[1]
-        rows, dim = self.capacity + 1, points.shape[1]
-        self._n = np.zeros(rows, dtype=np.int64)
-        self._linear = np.zeros((rows, dim))
-        self._squared = np.zeros((rows, dim))
-        self._t_sum = np.zeros(rows)
-        self._t_sq_sum = np.zeros(rows)
-        for j in range(self.capacity):
+        points, times, k = self._rows, self._staged_t, self.capacity
+        labels = kmeans_lloyd(points, k, self.rng)[1]
+        dim = points.shape[1]
+        stats = np.zeros((k + 1, 3 + 2 * dim))
+        for j in range(k):
             members = np.flatnonzero(labels == j)
-            pts = points[members]
-            self._n[j] = len(members)
-            self._linear[j] = pts.sum(axis=0)
-            self._squared[j] = (pts * pts).sum(axis=0)
-            self._t_sum[j] = times[members].sum()
-            self._t_sq_sum[j] = (times[members] ** 2).sum()
-        self._cents = points[: self.capacity]
-        self._write_centroids()
-        self.staging = self._staged_t = None
-
-    def _features(self):
-        return self._n, self._linear, self._squared, self._t_sum, self._t_sq_sum
+            pts, ts = points[members], times[members]
+            stats[j] = np.concatenate(((len(members), ts.sum(), (ts ** 2).sum()),
+                                       pts.sum(axis=0), (pts * pts).sum(axis=0)))
+        self._stats = stats
+        self._n, self._t_sum, self._t_sq_sum = stats[:, 0], stats[:, 1], stats[:, 2]
+        self._linear, self._squared = stats[:, 3:3 + dim], stats[:, 3 + dim:]
+        self.size = k
 
     def _stream_insert(self, x, t):
-        k = self.capacity
-        n, linear, squared, t_sum, t_sq_sum = self._features()
-        cents = self._cents
+        k, stats = self.capacity, self._stats
+        n, linear, squared = self._n, self._linear, self._squared
+        cents = self._rows[:k]
         d2 = ((cents - x) ** 2).sum(axis=1)
         near = int(np.argmin(d2))
         dist = float(np.sqrt(d2[near]))
@@ -299,39 +301,31 @@ class CluStreamBuffer:
             boundary = float(np.sqrt(others.min()))
         else:
             boundary = np.inf
+        point = _point_row(x, 1.0, t, t * t)
         if dist <= boundary:
-            n[near] += 1
-            linear[near] += x
-            squared[near] += x * x
-            t_sum[near] += t
-            t_sq_sum[near] += t * t
+            stats[near] += point
             return
-        n[k], linear[k], squared[k], t_sum[k], t_sq_sum[k] = 1, x, x * x, t, t ** 2
-        stamps = _relevance_stamp(n[:k], t_sum[:k], t_sq_sum[:k], CLUSTREAM_BOUNDARY_FACTOR)
+        stats[k] = point
+        stamps = _relevance_stamp(n[:k], self._t_sum[:k], self._t_sq_sum[:k],
+                                  CLUSTREAM_BOUNDARY_FACTOR)
         victim = int(np.argmin(stamps))
         if stamps[victim] < t - CLUSTREAM_HORIZON:
             self._drop(victim)
             return
         # merge the closest pair (the fresh singleton is a candidate too)
         i, j = _closest_pair(_centroid(n, linear))
-        for feature in self._features():
-            feature[i] += feature[j]
+        stats[i] += stats[j]
         self._drop(j)
 
     def _drop(self, j):
         k = self.capacity
-        for feature in self._features():
-            feature[j:k] = feature[j + 1:k + 1]
+        self._stats[j:k] = self._stats[j + 1:k + 1]
 
     def vectors(self):
-        return self.staging.vectors() if self._n is None else self._cents
+        return self._rows[: self.size]
 
     def memory_units(self):
-        return self.staging.size if self._n is None else 2 * self.capacity
-
-    @property
-    def size(self):
-        return self.staging.size if self._n is None else self.capacity
+        return 2 * self.size if self.initialized else self.size
 
 
 LLOYD_SWEEPS = 100
@@ -453,10 +447,11 @@ class HPStreamBuffer:
     updated cluster. Stream time is the sample index divided by
     HPSTREAM_SPEED.
 
-    Cluster statistics live in stacked arrays so the whole update is a
-    handful of vectorized operations. The centroids live in ``rows``, a
-    (capacity, dim) block (allocated when not given), rewritten on every
-    insert.
+    Cluster statistics are the columns of one (capacity, 1 + 2 dim)
+    matrix, weight, linear sum and squared sum, so a fade is one multiply
+    and the whole update a handful of vectorized operations. The
+    centroids live in ``rows``, a (capacity, dim) block (allocated when not
+    given), rewritten on every insert.
     """
 
     def __init__(self, capacity: int, dim: int, rows: np.ndarray | None = None):
@@ -465,17 +460,14 @@ class HPStreamBuffer:
         self.dims = max(1, dim // 2)
         self.size = 0
         self._means = np.zeros((capacity, dim)) if rows is None else rows
-        self._weight = np.zeros(capacity)
-        self._linear = np.zeros((capacity, dim))
-        self._squared = np.zeros((capacity, dim))
+        self._stats = np.zeros((capacity, 1 + 2 * dim))
+        self._weight = self._stats[:, 0]
+        self._linear, self._squared = self._stats[:, 1:1 + dim], self._stats[:, 1 + dim:]
         self._last_update = np.zeros(capacity)
-        # every cluster last faded at this time: one seeded since was seeded then
-        self._fade_time: float | None = None
+        self._fade_time = -np.inf  # when every cluster last faded
 
     def _seed(self, i, x, t):
-        self._weight[i] = 1.0
-        self._linear[i] = x
-        self._squared[i] = x * x
+        self._stats[i] = _point_row(x, 1.0)
         self._last_update[i] = t
         self._means[i] = x  # x / weight 1
 
@@ -485,14 +477,12 @@ class HPStreamBuffer:
             self._seed(self.size, x, t)
             self.size += 1
             return
-        # the first fade covers each cluster's gap since its seeding, later ones
-        # one shared gap, kept an array: numpy's power may round unlike float's
-        gaps = (t - self._last_update if self._fade_time is None
-                else np.array([t - self._fade_time]))
-        factor = np.where(gaps > 0, 2.0 ** (-HPSTREAM_DECAY_RATE * gaps), 1.0)[:, None]
-        self._weight *= factor[:, 0]
-        self._linear *= factor
-        self._squared *= factor
+        # each cluster fades over the time since its seeding or the last
+        # fade, whichever is later: its own gap on the first fade, one
+        # shared gap after it
+        gaps = t - np.maximum(self._last_update, self._fade_time)
+        factor = np.where(gaps > 0, 2.0 ** (-HPSTREAM_DECAY_RATE * gaps), 1.0)
+        self._stats *= factor[:, None]
         self._fade_time = t
         means = np.divide(self._linear, self._weight[:, None], out=self._means)
         radii = _radii(self._weight, self._squared, means)
@@ -503,9 +493,7 @@ class HPStreamBuffer:
         near_radii = radii[near, bits[near]]
         limit = HPSTREAM_SPREAD_RADIUS_FACTOR * (np.add.reduce(near_radii) / len(near_radii))
         if dists[near] <= limit:
-            self._weight[near] += 1.0
-            self._linear[near] += x
-            self._squared[near] += x * x
+            self._stats[near] += _point_row(x, 1.0)
             self._last_update[near] = t
             means[near] = self._linear[near] / self._weight[near]
         else:
@@ -530,10 +518,9 @@ class BufferManager:
     (class, slot) order, rebuilt only when a class's size changes, and
     ``contents`` gathers a fresh copy through that index.
 
-    Stores are created lazily on the first sample of each class so the
-    feature dimension never has to be declared up front: the first insert
-    fixes it, and every later sample must be a finite 1-D vector of that
-    length.
+    The feature dimension is never declared up front: the first insert
+    fixes it, allocates the array and builds every class's store, and
+    every later sample must be a finite 1-D vector of that length.
     """
 
     def __init__(self, strategy: str, capacity: int, num_classes: int, seed: int = 0):
@@ -552,7 +539,7 @@ class BufferManager:
         self._block = {"clustream": CLUSTREAM_INIT_MULTIPLIER * capacity,
                        "full": 16}.get(strategy, capacity)
         self._rows = np.zeros((0, 0))
-        self._buffers: dict[int, object] = {}
+        self._stores: list = []
         self._index: np.ndarray | None = None
 
     def _class_rows(self, label):
@@ -580,7 +567,7 @@ class BufferManager:
         """Double every class block of full's array; stores keep their rows."""
         self._block *= 2
         self._rows = np.zeros((self.num_classes * self._block, self._dim))
-        for label, store in self._buffers.items():
+        for label, store in enumerate(self._stores):
             store.move_to(self._class_rows(label))
         self._index = None
 
@@ -600,10 +587,9 @@ class BufferManager:
         if self._dim is None:
             self._dim = dim
             self._rows = np.zeros((self.num_classes * self._block, dim))
-        store = self._buffers.get(label)
-        if store is None:
-            store = self._buffers[label] = self._make_buffer(label)
-        elif self.strategy == "full" and store.size == store.capacity:
+            self._stores = [self._make_buffer(c) for c in range(self.num_classes)]
+        store = self._stores[label]
+        if self.strategy == "full" and store.size == store.capacity:
             self._grow()
         size = store.size
         store.insert(x, t)
@@ -616,12 +602,9 @@ class BufferManager:
         labels. Callers only read them, and only until the next insert;
         rehearsal gathers its minibatches through them."""
         if self._index is None:
-            sizes = np.array([self._buffers[c].size if c in self._buffers else 0
-                              for c in range(self.num_classes)], dtype=np.int64)
-            self._labels = np.repeat(np.arange(self.num_classes, dtype=np.int64), sizes)
-            first = np.arange(self.num_classes, dtype=np.int64) * self._block
-            shift = np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
-            self._index = np.arange(len(self._labels), dtype=np.int64) + shift
+            sizes = np.array([store.size for store in self._stores], dtype=np.int64)
+            self._index = np.flatnonzero(np.arange(self._block) < sizes[:, None])
+            self._labels = self._index // self._block
             self._index.flags.writeable = self._labels.flags.writeable = False
         return self._rows, self._index, self._labels
 
@@ -633,4 +616,4 @@ class BufferManager:
 
     def memory_cost(self) -> int:
         """Total units held: 2 per micro/faded cluster, 1 per stored vector."""
-        return int(sum(b.memory_units() for b in self._buffers.values()))
+        return int(sum(store.memory_units() for store in self._stores))

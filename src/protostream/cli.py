@@ -143,6 +143,22 @@ def _flag(payload, key, default):
     return value
 
 
+def _is_accuracy(value) -> bool:
+    """Whether a value parsed from JSON is a number in [0, 1]: not a bool,
+    NaN or infinity."""
+    return type(value) in (int, float) and 0 <= value <= 1
+
+
+def _read_baseline(path) -> tuple[str, float]:
+    """A baseline file's dataset name and offline accuracy, a number in
+    [0, 1]; anything else in their place is a data error."""
+    baseline = _load_json(path, "baseline")
+    if not (isinstance(baseline, dict) and isinstance(baseline.get("dataset"), str)
+            and _is_accuracy(baseline.get("accuracy"))):
+        raise DataFormatError(f"{path}: baseline needs a dataset name and an accuracy in [0, 1]")
+    return baseline["dataset"], float(baseline["accuracy"])
+
+
 def _load_dataset(features_path, manifest_path, normalize, name=None) -> Dataset:
     key = (str(features_path), str(manifest_path), bool(normalize), name)
     if key not in _dataset_cache:
@@ -211,11 +227,11 @@ def cmd_run(args) -> int:
             raise UsageError(f"sweep config is missing the {key!r} key")
     dataset_name = str(sweep["dataset"])
 
-    baseline = _load_json(args.baseline, "baseline")
-    if baseline.get("dataset") != dataset_name:
+    baseline_dataset, _ = _read_baseline(args.baseline)
+    if baseline_dataset != dataset_name:
         raise UsageError(
             f"no baseline for dataset {dataset_name!r} in {args.baseline} "
-            f"(found {baseline.get('dataset')!r}); run 'protostream baseline' first")
+            f"(found {baseline_dataset!r}); run 'protostream baseline' first")
 
     methods = _convert(list, sweep["methods"], "methods")
     for m in methods:
@@ -279,19 +295,38 @@ def cmd_run(args) -> int:
         print(f"dropping an unfinished write at the end of {out}", file=sys.stderr)
         os.truncate(out, intact)
     pending = [t for t in tasks if t["run_id"] not in done]
+    # a pool starts all its workers at the first submit: never more than the runs
+    workers = min(args.jobs, len(pending))
+    where = f"{workers} worker processes" if workers > 1 else "this process"
     print(f"{len(tasks)} runs in sweep, {len(tasks) - len(pending)} already complete, "
-          f"{len(pending)} to execute with {args.jobs} job(s)")
+          f"{len(pending)} to execute in {where}")
 
     with open(out, "a") as log:
-        if args.jobs == 1:
+        if workers <= 1:
             for task in pending:
                 _write_records(log, _execute_task(task))
         else:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_execute_task, task) for task in pending]
                 for future in as_completed(futures):
                     _write_records(log, future.result())
     return 0
+
+
+def _is_run_record(record) -> bool:
+    """Whether a parsed results line holds every value ``run`` and
+    ``report`` read, each of its type: run_id, dataset, method, ordering
+    and (where present) config strings, buffer_size and seed integers, and
+    for an event (a record with ``t``) t an integer >= 1 and its accuracy a
+    number in [0, 1]."""
+    if not (isinstance(record, dict) and record.keys() >= RECORD_KEYS):
+        return False
+    strings = [k for k in ("run_id", "dataset", "method", "ordering", "config") if k in record]
+    integers = [k for k in ("buffer_size", "seed", "t") if k in record]
+    return (all(type(record[k]) is str for k in strings)
+            and all(type(record[k]) is int for k in integers)  # bool is not
+            and ("t" not in record
+                 or (record["t"] >= 1 and _is_accuracy(record.get("accuracy")))))
 
 
 def _log_records(path):
@@ -300,8 +335,7 @@ def _log_records(path):
     Every record ends with a newline, so a last line without one is a
     write cut short by a crash: it is skipped, and ``run`` cuts it off and
     re-executes its run. A corrupt line anywhere else is an error, and so is
-    a record that lacks run_id or a RUN_FIELDS key, or an event (a record
-    with ``t``) that lacks its accuracy.
+    a line that is not a run record (``_is_run_record``).
     """
     end = 0
     with open(path, "rb") as fh:
@@ -315,8 +349,7 @@ def _log_records(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}: corrupt results line: {exc}") from exc
-            if not (isinstance(record, dict) and record.keys() >= RECORD_KEYS
-                    and ("t" not in record or "accuracy" in record)):
+            if not _is_run_record(record):
                 text = line.decode(errors="replace").strip()[:200]
                 raise DataFormatError(f"{path}: not a run record: {text}")
             yield record, end
@@ -398,15 +431,13 @@ def cmd_report(args) -> int:
     results_path = Path(args.results)
     if not results_path.exists():
         raise UsageError(f"results file not found: {results_path}")
-    baseline = _load_json(args.baseline, "baseline")
-    if "dataset" not in baseline or "accuracy" not in baseline:
-        raise DataFormatError(f"{args.baseline}: baseline needs dataset and accuracy fields")
+    baseline = _read_baseline(args.baseline)
 
     runs, _ = _read_log(results_path)
     if not any(run.events for run in runs.values()):
         raise DataFormatError(f"{results_path}: no event records to report")
 
-    omegas = _per_run_omegas(runs, baseline)
+    omegas = _per_run_omegas(runs, *baseline)
     if not omegas:
         raise DataFormatError(f"{results_path}: no run has finished")
     table_rows, plot_rows = _aggregate(omegas)
@@ -423,9 +454,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _per_run_omegas(runs, baseline):
-    """Omega per finished run with events; runs without a terminal record
-    are skipped (and counted on stderr): their curves may be cut short."""
+def _per_run_omegas(runs, dataset, accuracy):
+    """Omega per finished run with events, against the baseline's dataset
+    and accuracy; runs without a terminal record are skipped (and counted
+    on stderr): their curves may be cut short."""
     unfinished = [run for run in runs.values() if run.events and not run.terminal]
     if unfinished:
         print(f"skipped {len(unfinished)} unfinished run(s) with no terminal record",
@@ -436,12 +468,12 @@ def _per_run_omegas(runs, baseline):
         if not (run.events and run.terminal):
             continue
         meta = run.meta
-        if meta["dataset"] != baseline["dataset"]:
+        if meta["dataset"] != dataset:
             raise DataFormatError(
                 f"run {run_id} is for dataset {meta['dataset']!r} but the baseline "
-                f"covers {baseline['dataset']!r}")
+                f"covers {dataset!r}")
         times, values = map(np.array, zip(*sorted(run.events.items())))
-        offline = np.full(len(times), float(baseline["accuracy"]))
+        offline = np.full(len(times), accuracy)
         stream = AccuracyCurve(times, values)
         off = AccuracyCurve(times, offline)
         score = omega_score(stream, off, buffer_size=meta["buffer_size"])

@@ -32,8 +32,8 @@ class AccuracyCurve:
             raise UsageError("curve must hold at least one event")
         if (np.diff(self.times) <= 0).any():
             raise UsageError("curve times must be strictly increasing")
-        if (self.values < 0).any() or (self.values > 1).any():
-            raise UsageError("accuracies must lie in [0, 1]")
+        if not ((self.values >= 0) & (self.values <= 1)).all():  # NaN fails both
+            raise UsageError("accuracies must be numbers in [0, 1]")
 
     @property
     def num_events(self) -> int:

@@ -725,15 +725,17 @@ class TestManagerArray:
     """Every store writes into the manager's one prototype array; reads
     through it must equal a per-class concatenation after every insert."""
 
-    @pytest.mark.parametrize("ordering", ["iid", "class_iid"])
+    @pytest.mark.parametrize("stream", ["iid", "class_iid", "rounded"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_contents_equals_per_class_concatenation(self, strategy, ordering):
+    def test_contents_equals_per_class_concatenation(self, strategy, stream):
         classes, capacity, dim, seed = 3, 4, 3, 7
         rng = np.random.default_rng(5)
         labels = rng.integers(classes, size=120)  # 40 per class on average: full doubles twice
-        if ordering == "class_iid":
+        if stream == "class_iid":
             labels = np.sort(labels)
         rows = gaussian_stream(120, dim, seed=2)
+        if stream == "rounded":
+            rows = np.round(rows)  # repeated points and tied distances
         mgr = BufferManager(strategy, capacity if strategy != "full" else 0, classes, seed=seed)
         refs, seen = {}, {}
         for t, (x, c) in enumerate(zip(rows, labels.tolist()), start=1):
@@ -755,6 +757,18 @@ class TestManagerArray:
             np.testing.assert_array_equal(filled_labels, want_labels)
         if strategy == "clustream":
             assert all(ref.initialized for ref in refs.values())
+
+    def test_empty_stores_keep_their_shapes(self):
+        assert CluStreamBuffer(2, np.random.default_rng(0)).vectors().shape == (0, 0)
+        assert ExStreamBuffer(2).vectors().shape == (0, 0)
+        assert HPStreamBuffer(2, 3).vectors().shape == (0, 3)
+        for strategy in STRATEGIES:
+            mgr = BufferManager(strategy, 2, num_classes=3)
+            _, index, labels = mgr.filled()
+            for array in (index, labels):
+                assert array.shape == (0,) and array.dtype == np.int64, strategy
+                assert not array.flags.writeable, strategy
+            assert mgr.contents()[0].shape == (0, 0) and mgr.memory_cost() == 0
 
     def test_contents_is_a_copy(self):
         mgr = BufferManager("queue", 2, num_classes=1)

@@ -2,9 +2,11 @@
 
 import csv
 import json
+from concurrent.futures import Future
 
 import pytest
 
+from protostream import cli
 from protostream.cli import main
 
 MLP = {"layer_sizes": [8], "learning_rate": 0.1, "batch_size": 16, "seed": 0}
@@ -320,6 +322,55 @@ class TestRun:
             assert (tmp_path / "after" / name).read_bytes() == \
                    (tmp_path / "full_report" / name).read_bytes()
 
+    def test_jobs_start_no_more_workers_than_runs_left(self, workspace, tmp_path, capsys,
+                                                        monkeypatch):
+        """A pool starts all its workers at once: --jobs 64 over three runs
+        starts three, and one run left runs in this process."""
+        started = []
+
+        class InlinePool:
+            """Records its worker count and runs each task inline: no process starts."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        cfg = str(write_json(tmp_path / "sweep.json", sweep_config(
+            workspace, methods=["queue"], seeds=[0, 1, 2], buffer_sizes=[2])))
+        base, out = str(workspace["baseline"]), tmp_path / "results.jsonl"
+        assert main(["run", "--config", cfg, "--baseline", base, "--jobs", "64",
+                     "--out", str(out)]) == 0
+        assert started == [3]
+        assert "3 to execute in 3 worker processes" in capsys.readouterr().out
+        records = read_jsonl(out)
+        out.write_text("".join(json.dumps(r) + "\n" for r in records[:-1]))
+        assert main(["run", "--config", cfg, "--baseline", base, "--jobs", "8",
+                     "--out", str(out)]) == 0
+        assert started == [3]
+        assert "1 to execute in this process" in capsys.readouterr().out
+        assert sum("memory_cost" in r for r in read_jsonl(out)) == 3
+
+    @pytest.mark.parametrize("payload", [[1, 2], {"dataset": "toy", "accuracy": float("nan")}],
+                             ids=["not_an_object", "accuracy_nan"])
+    def test_malformed_baseline(self, workspace, tmp_path, capsys, payload):
+        bad = write_json(tmp_path / "base.json", payload)
+        cfg = write_json(tmp_path / "sweep.json", sweep_config(workspace))
+        assert main(["run", "--config", str(cfg), "--baseline", str(bad),
+                     "--out", str(tmp_path / "r.jsonl")]) == 3
+        assert "baseline needs a dataset name and an accuracy" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_wrong_baseline_dataset(self, workspace, tmp_path, capsys):
         bad = write_json(tmp_path / "base.json",
                          {"dataset": "other", "accuracy": 0.9, "seed": 0, "epochs": 1})
@@ -410,6 +461,10 @@ class TestRun:
                          "--baseline", str(workspace["baseline"]),
                          "--out", str(out)]) == 3
             assert out.read_text() == line
+
+
+RUN_RECORD = {"run_id": "toy-queue-b2-iid-s0", "dataset": "toy", "method": "queue",
+              "buffer_size": 2, "ordering": "iid", "seed": 0}
 
 
 def event(run_id, meta, t, accuracy):
@@ -520,8 +575,20 @@ class TestReport:
 
     def test_incomplete_baseline(self, tmp_path):
         rows = [("queue", 2, 0, [(30, 1.0)])]
-        code, _ = self.run_report(tmp_path, rows, baseline={"dataset": "toy"})
-        assert code == 3
+        for baseline in ({"dataset": "toy"}, [1, 2], {"accuracy": 1.0},
+                         {"dataset": 5, "accuracy": 1.0},
+                         {"dataset": "toy", "accuracy": None},
+                         {"dataset": "toy", "accuracy": "x"},
+                         {"dataset": "toy", "accuracy": True},
+                         {"dataset": "toy", "accuracy": float("nan")},
+                         {"dataset": "toy", "accuracy": float("inf")},
+                         {"dataset": "toy", "accuracy": 2.0},
+                         {"dataset": "toy", "accuracy": -0.1}):
+            code, out = self.run_report(tmp_path, rows, baseline=baseline)
+            assert code == 3, baseline
+            assert not (out / "omega_table.csv").exists()
+        # a well-formed accuracy of 0 leaves omega undefined: a numeric error
+        assert self.run_report(tmp_path, rows, {"dataset": "toy", "accuracy": 0})[0] == 4
 
     def test_dataset_mismatch(self, tmp_path):
         rows = [("queue", 2, 0, [(30, 1.0)])]
@@ -532,9 +599,22 @@ class TestReport:
     @pytest.mark.parametrize("line", [
         {"run_id": "x", "t": 1, "accuracy": 0.5},
         [1, 2],
-        {"run_id": "toy-queue-b2-iid-s0", "dataset": "toy", "method": "queue",
-         "buffer_size": 2, "ordering": "iid", "seed": 0, "t": 60},
-    ], ids=["no_run_fields", "not_an_object", "event_without_accuracy"])
+        {**RUN_RECORD, "t": 60},
+        {**RUN_RECORD, "t": 60, "accuracy": None},
+        {**RUN_RECORD, "t": 60, "accuracy": "0.5"},
+        {**RUN_RECORD, "t": 60, "accuracy": float("nan")},
+        {**RUN_RECORD, "t": 60, "accuracy": 1.7},
+        {**RUN_RECORD, "t": "x", "accuracy": 0.5},
+        {**RUN_RECORD, "t": 0, "accuracy": 0.5},
+        {**RUN_RECORD, "t": 60.5, "accuracy": 0.5},
+        {**RUN_RECORD, "buffer_size": "two", "t": 60, "accuracy": 0.5},
+        {**RUN_RECORD, "seed": True, "t": 60, "accuracy": 0.5},
+        {**RUN_RECORD, "method": 3, "t": 60, "accuracy": 0.5},
+        {**RUN_RECORD, "config": 7, "wall_clock_s": 0.1, "memory_cost": 4},
+    ], ids=["no_run_fields", "not_an_object", "event_without_accuracy", "accuracy_null",
+            "accuracy_string", "accuracy_nan", "accuracy_above_one", "t_string", "t_zero",
+            "t_fraction", "buffer_size_string", "seed_bool", "method_number",
+            "config_number"])
     def test_malformed_record(self, tmp_path, capsys, line):
         code, out = self.run_report(tmp_path, [("queue", 2, 0, [(30, 1.0)])])
         assert code == 0

@@ -57,6 +57,8 @@ class TestAccuracyCurve:
             AccuracyCurve([2, 2], [0.5, 0.6])
         with pytest.raises(UsageError):
             AccuracyCurve([1, 2], [0.5, 1.2])
+        with pytest.raises(UsageError):
+            AccuracyCurve([1, 2], [0.5, np.nan])
 
     def test_events_view(self):
         curve = AccuracyCurve([5, 10], [0.25, 0.75])
