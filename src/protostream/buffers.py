@@ -521,6 +521,9 @@ class BufferManager:
     The feature dimension is never declared up front: the first insert
     fixes it, allocates the array and builds every class's store, and
     every later sample must be a finite 1-D vector of that length.
+    Stream time never runs backwards: an insert at a time before the
+    previous insert's is rejected (an equal time is allowed), because
+    hpstream's fading and clustream's relevance stamps assume time order.
     """
 
     def __init__(self, strategy: str, capacity: int, num_classes: int, seed: int = 0):
@@ -541,6 +544,7 @@ class BufferManager:
         self._rows = np.zeros((0, 0))
         self._stores: list = []
         self._index: np.ndarray | None = None
+        self._t = -np.inf  # stream time of the latest insert
 
     def _class_rows(self, label):
         return self._rows[label * self._block:(label + 1) * self._block]
@@ -572,11 +576,14 @@ class BufferManager:
         self._index = None
 
     def insert(self, x, label: int, t: float):
-        """Route one sample into its class buffer at stream time t, a finite number."""
+        """Route one sample into its class buffer at stream time t, a finite
+        number no smaller than the previous insert's."""
         label = require_int(label, "class label")
         if not 0 <= label < self.num_classes:
             raise UsageError(f"class label {label} outside [0, {self.num_classes})")
         t = require_real(t, "stream time t")
+        if t < self._t:
+            raise UsageError(f"stream time t={t} is before the previous insert's {self._t}")
         x = np.asarray(x, dtype=np.float64)
         dim = self._dim or (len(x) if x.ndim == 1 else 0)
         if dim == 0 or x.shape != (dim,):
@@ -588,6 +595,7 @@ class BufferManager:
             self._dim = dim
             self._rows = np.zeros((self.num_classes * self._block, dim))
             self._stores = [self._make_buffer(c) for c in range(self.num_classes)]
+        self._t = t
         store = self._stores[label]
         if self.strategy == "full" and store.size == store.capacity:
             self._grow()

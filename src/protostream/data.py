@@ -29,6 +29,7 @@ _HEADER = struct.Struct("<IQQ")
 MANIFEST_FIELDS = ("sample_id", "row", "split", "class_label", "instance_id", "frame_index")
 
 ORDERING_KINDS = ("iid", "class_iid", "instance", "class_instance")
+MIN_NORM = 1e-12  # l2_normalize leaves vectors shorter than this as they are
 
 
 @dataclass(frozen=True)
@@ -187,12 +188,12 @@ def load_feature_matrix(path) -> np.ndarray:
     return x
 
 
-def l2_normalize(vector, eps: float = 1e-12) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm; vectors with norm below eps
-    are returned unchanged."""
+def l2_normalize(vector) -> np.ndarray:
+    """Scale a vector to unit Euclidean norm; vectors with norm below
+    MIN_NORM are returned unchanged."""
     v = np.asarray(vector, dtype=np.float64)
     norm = float(np.linalg.norm(v))
-    if norm < eps:
+    if norm < MIN_NORM:
         return v.copy()
     return v / norm
 

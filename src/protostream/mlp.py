@@ -73,9 +73,11 @@ class MLPConfig:
 class MLPClassifier:
     """Multinomial MLP with explicit forward/backward passes.
 
-    Weights use He-style fan-in initialization, biases start at zero,
-    batch-norm scale/shift at one/zero with running stats (0, 1). Two
-    independent seeded generators cover initialization and dropout.
+    Every trained parameter is a view of one float64 vector, theta, in
+    named_parameters order, weight matrices first. Weights use He-style
+    fan-in initialization, biases start at zero, batch-norm scale/shift at
+    one/zero with running stats (0, 1). Two independent seeded generators
+    cover initialization and dropout.
     """
 
     def __init__(self, config: MLPConfig, dim: int, num_classes: int):
@@ -87,22 +89,34 @@ class MLPClassifier:
         init_rng = np.random.default_rng([config.seed, 0])
         self.rng = np.random.default_rng([config.seed, 1])
 
-        sizes = [dim, *config.layer_sizes, num_classes]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(init_rng.standard_normal((fan_in, fan_out)) * scale)
-            self.biases.append(np.zeros(fan_out))
-        # train_minibatch writes its weight gradients here, step after step
-        self._w_grads = [np.empty_like(w) for w in self.weights]
-        hidden = list(config.layer_sizes)
-        self.bn_scale = [np.ones(h) for h in hidden]
-        self.bn_shift = [np.zeros(h) for h in hidden]
-        self.bn_mean = [np.zeros(h) for h in hidden]
-        self.bn_var = [np.ones(h) for h in hidden]
-        # updated in place, so this list of the live arrays stays valid
-        self._params = [p for _, p in self.named_parameters()]
+        self.theta, params, groups = self._zero_vector()
+        self.weights, self.biases, self.bn_scale, self.bn_shift = groups
+        names = [f"{kind}{i}" for kind in ("w", "b") for i in range(len(self.weights))]
+        names += [f"bn_{kind}{i}" for i in range(self.num_hidden) for kind in ("scale", "shift")]
+        self._named = list(zip(names, params))
+        self._n_weights = sum(w.size for w in self.weights)
+        for w in self.weights:
+            init_rng.standard_normal(out=w)
+            w *= np.sqrt(2.0 / len(w))
+        for s in self.bn_scale:
+            s.fill(1.0)
+        self.bn_mean = [np.zeros(h) for h in config.layer_sizes]
+        self.bn_var = [np.ones(h) for h in config.layer_sizes]
+        # train_minibatch writes its lr-scaled gradients here, step after step
+        self._step, _, self._step_grads = self._zero_vector()
+
+    def _zero_vector(self):
+        """A zero vector laid out like theta, its views in named_parameters
+        order, and the same views grouped as (weights, biases, bn_scale,
+        bn_shift) lists."""
+        sizes = [self.dim, *self.config.layer_sizes, self.num_classes]
+        shapes = [*zip(sizes[:-1], sizes[1:]), *((n,) for n in sizes[1:]),
+                  *((h,) for h in sizes[1:-1] for _ in range(2))]
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        flat = np.zeros(ends[-1])
+        views = [v.reshape(shape) for v, shape in zip(np.split(flat, ends[:-1]), shapes)]
+        nw = len(sizes) - 1
+        return flat, views, (views[:nw], views[nw:2 * nw], views[2 * nw::2], views[2 * nw + 1::2])
 
     @property
     def num_hidden(self):
@@ -182,12 +196,13 @@ class MLPClassifier:
         """Cross-entropy loss plus gradients for every parameter.
 
         Pure: parameters and running statistics are untouched. Returns
-        (loss, grads dict keyed like named_parameters, batch_stats list).
+        (loss, grads dict keyed like named_parameters, batch_stats list);
+        the gradients are views of one fresh vector laid out like theta.
         """
         x, y = self._check_batch(inputs, labels)
-        loss, grads, stats = self._gradients(x, y, dropout_rng, 1.0,
-                                             [np.empty_like(w) for w in self.weights])
-        return loss, {n: g for (n, _), g in zip(self.named_parameters(), grads)}, stats
+        _, views, grads = self._zero_vector()
+        loss, stats = self._gradients(x, y, dropout_rng, 1.0, grads)
+        return loss, {name: g for (name, _), g in zip(self._named, views)}, stats
 
     def _check_batch(self, inputs, labels):
         x = self._check_inputs(inputs)
@@ -198,10 +213,10 @@ class MLPClassifier:
             raise UsageError("label outside [0, num_classes)")
         return x, y
 
-    def _gradients(self, x, y, dropout_rng, scale, w_grads):
+    def _gradients(self, x, y, dropout_rng, scale, grads):
         """loss_and_gradients on a checked batch, each gradient times scale
-        (folded into the head error), weight gradient i written to w_grads[i].
-        The gradients come as a list in named_parameters order."""
+        (folded into the head error) and written into grads, grouped like
+        _zero_vector's views. Returns (loss, batch stats)."""
         m = len(x)
         logits, caches, stats = self._forward(x, True, dropout_rng)
         log_probs = log_softmax(logits)
@@ -210,8 +225,7 @@ class MLPClassifier:
         if not math.isfinite(loss):
             raise NumericError("non-finite training loss")
 
-        nw = len(self.weights)
-        grads = [None] * len(self._params)
+        g_weights, g_biases, g_scale, g_shift = grads
         dz = np.exp(log_probs, out=log_probs)
         dz.reshape(-1)[picks] -= 1.0  # a view: log_softmax's array is C-ordered
         dz /= m
@@ -227,8 +241,8 @@ class MLPClassifier:
                     dh *= a > 0
                 else:
                     dh *= np.where(a > 0, 1.0, a + 1.0)
-                grads[2 * nw + 2 * i] = np.add.reduce(dh * zhat, axis=0)  # bn_scale
-                grads[2 * nw + 2 * i + 1] = np.add.reduce(dh, axis=0)  # bn_shift
+                np.add.reduce(dh * zhat, axis=0, out=g_scale[i])
+                np.add.reduce(dh, axis=0, out=g_shift[i])
                 dh *= self.bn_scale[i]
                 if stats:
                     dz = m * dh
@@ -239,43 +253,36 @@ class MLPClassifier:
                     dz = dh * inv
             h = caches[i][0]
             if m == 1:  # an outer product; matmul takes no BLAS path for it
-                grads[i] = np.einsum("i,j->ij", h[0], dz[0], out=w_grads[i])
+                np.einsum("i,j->ij", h[0], dz[0], out=g_weights[i])
             else:
-                grads[i] = np.matmul(h.T, dz, out=w_grads[i])
-            grads[nw + i] = np.add.reduce(dz, axis=0)
+                np.matmul(h.T, dz, out=g_weights[i])
+            np.add.reduce(dz, axis=0, out=g_biases[i])
             if i > 0:  # nothing reads the gradient of the network input
                 dh = dz @ self.weights[i].T
-        return loss, grads, stats
+        return loss, stats
 
     def train_minibatch(self, inputs, labels) -> float:
-        """One in-place SGD step, w <- (1 - lr*wd)*w - lr*grad, with the weight
-        gradients in reused buffers; returns the pre-update loss."""
+        """One in-place SGD step on theta, w <- (1 - lr*wd)*w - lr*grad, with
+        the gradients in a reused step vector; returns the pre-update loss."""
         x, y = self._check_batch(inputs, labels)
         lr = self.config.learning_rate
         wd = self.config.weight_decay
         rng = self.rng if self.config.dropout_keep < 1.0 else None
-        loss, steps, stats = self._gradients(x, y, rng, lr, self._w_grads)
+        loss, stats = self._gradients(x, y, rng, lr, self._step_grads)
         if wd:
-            for w in self.weights:
-                w *= 1.0 - lr * wd
-        for param, step in zip(self._params, steps):
-            param -= step
-        for i, (mu, var) in enumerate(stats):
-            self.bn_mean[i] = BN_MOMENTUM * self.bn_mean[i] + (1.0 - BN_MOMENTUM) * mu
-            self.bn_var[i] = BN_MOMENTUM * self.bn_var[i] + (1.0 - BN_MOMENTUM) * var
+            self.theta[:self._n_weights] *= 1.0 - lr * wd
+        self.theta -= self._step
+        for mean, var, (mu, batch_var) in zip(self.bn_mean, self.bn_var, stats):
+            mean *= BN_MOMENTUM
+            mean += (1.0 - BN_MOMENTUM) * mu
+            var *= BN_MOMENTUM
+            var += (1.0 - BN_MOMENTUM) * batch_var
         return loss
 
     def named_parameters(self):
-        """(name, array) pairs; arrays are live references."""
-        out = []
-        for i, w in enumerate(self.weights):
-            out.append((f"w{i}", w))
-        for i, b in enumerate(self.biases):
-            out.append((f"b{i}", b))
-        for i in range(self.num_hidden):
-            out.append((f"bn_scale{i}", self.bn_scale[i]))
-            out.append((f"bn_shift{i}", self.bn_shift[i]))
-        return out
+        """(name, array) pairs in theta's order; each array is a live view
+        of theta."""
+        return list(self._named)
 
 
 def evaluate_accuracy(model: MLPClassifier, inputs, labels) -> float:
@@ -287,33 +294,25 @@ def evaluate_accuracy(model: MLPClassifier, inputs, labels) -> float:
     return float(np.count_nonzero(model.predict(x) == y) / len(y))
 
 
-def minibatch_slices(total: int, batch_size: int):
-    """Consecutive index ranges covering [0, total) in chunks of
-    min(batch_size, total); the final chunk may be smaller."""
-    if total < 1:
-        return []
-    size = min(batch_size, total)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
 def train_epochs(model: MLPClassifier, x, y, rng: np.random.Generator, epochs: int,
                  index: np.ndarray | None = None) -> None:
     """``epochs`` passes over the rows x[index] (all of x when index is
-    None), labelled y, each in an order drawn from rng and split by
-    minibatch_slices, so each row receives exactly one gradient step per
-    pass."""
+    None), labelled y, each in an order drawn from rng and split into
+    consecutive minibatches of min(batch_size, n) rows, the last possibly
+    smaller, so each row receives exactly one gradient step per pass."""
     # Rows are gathered into one array for all passes: whether a fresh
     # batch-sized copy per step or per pass page-faults depends on heap
     # history (20% of fit_offline at the 2048-d shape). mode="clip" never
     # changes a permutation index; mode="raise" would buffer out.
     n = len(y)
-    rows = np.empty((min(model.config.batch_size, n), x.shape[1]), dtype=x.dtype)
+    size = min(model.config.batch_size, n)
+    rows = np.empty((size, x.shape[1]), dtype=x.dtype)
     for _ in range(epochs):
         perm = rng.permutation(n)
-        for lo, hi in minibatch_slices(n, model.config.batch_size):
-            chunk = perm[lo:hi]
+        for lo in range(0, n, size):
+            chunk = perm[lo:lo + size]
             picks = chunk if index is None else index[chunk]
-            batch = x.take(picks, axis=0, out=rows[:hi - lo], mode="clip")
+            batch = x.take(picks, axis=0, out=rows[:len(chunk)], mode="clip")
             model.train_minibatch(batch, y[chunk])
 
 

@@ -590,6 +590,26 @@ class TestBufferManager:
             mgr.insert([3.0, 4.0], 0, t)
         assert mgr.memory_cost() == cost and len(mgr.contents()[0]) == 1
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_stream_time_never_runs_backwards(self, strategy):
+        """An equal time is accepted; an earlier one is rejected, for any
+        class, and leaves every store and the stream clock as they were."""
+        mgr = BufferManager(strategy, 2, num_classes=2)
+        for i, t in enumerate((1, 3, 3)):
+            mgr.insert([float(i), 2.0], i % 2, t)
+        before, cost = mgr.contents(), mgr.memory_cost()
+        for label in (0, 1):
+            with pytest.raises(UsageError, match="stream time"):
+                mgr.insert([5.0, 5.0], label, 2.5)
+        with pytest.raises(UsageError, match="finite"):
+            mgr.insert([np.nan, 0.0], 0, 9)  # a rejected sample does not advance the clock
+        after = mgr.contents()
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
+        assert mgr.memory_cost() == cost
+        mgr.insert([5.0, 5.0], 1, 3)
+        mgr.insert([6.0, 5.0], 0, 4)
+
     @pytest.mark.parametrize("label", [1.5, 1.0, True, "1"],
                              ids=["fraction", "float", "bool", "string"])
     def test_label_must_be_integer(self, label):

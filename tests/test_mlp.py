@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from protostream import (MLPClassifier, MLPConfig, NumericError, UsageError,
+from protostream import (Dataset, MLPClassifier, MLPConfig, NumericError, UsageError,
                          evaluate_accuracy, fit_offline, synth_gaussian,
                          SynthSpec)
-from protostream.mlp import BN_MOMENTUM, log_softmax, minibatch_slices
+from protostream.mlp import BN_MOMENTUM, log_softmax, train_epochs
 
 
 def small_model(layer_sizes=(4,), dim=5, num_classes=3, **kw):
@@ -411,8 +411,8 @@ class TestLogSoftmax:
 
 
 class TestInPlaceStep:
-    """train_minibatch steps in place on gradient buffers it reuses; the
-    reference step is loss_and_gradients followed by this module's
+    """train_minibatch steps theta in place with a step vector it reuses;
+    the reference step is loss_and_gradients followed by this module's
     apply_gradients."""
 
     @pytest.mark.parametrize("layer_sizes", [(), (6,), (6, 4)],
@@ -459,6 +459,95 @@ class TestInPlaceStep:
         assert peak < model.weights[0].nbytes
 
 
+class TestParameterLayout:
+    @pytest.mark.parametrize("layer_sizes, names", [
+        ((), ["w0", "b0"]),
+        ((4,), ["w0", "w1", "b0", "b1", "bn_scale0", "bn_shift0"]),
+        ((4, 3), ["w0", "w1", "w2", "b0", "b1", "b2",
+                  "bn_scale0", "bn_shift0", "bn_scale1", "bn_shift1"]),
+    ], ids=["no_hidden", "one_hidden", "two_hidden"])
+    def test_named_parameters_tile_theta_in_order(self, layer_sizes, names):
+        model = small_model(layer_sizes)
+        named = model.named_parameters()
+        assert [name for name, _ in named] == names
+        start = model.theta.ctypes.data
+        offset = 0
+        for name, p in named:
+            assert np.shares_memory(p, model.theta), name
+            assert p.ctypes.data - start == offset * p.itemsize, name
+            offset += p.size
+        assert offset == model.theta.size
+
+    def test_writes_through_a_weight_show_everywhere(self):
+        model = small_model((4,))
+        model.weights[0][1, 2] = 7.5
+        assert dict(model.named_parameters())["w0"][1, 2] == 7.5
+        assert model.theta[1 * 4 + 2] == 7.5
+
+    def test_gradients_share_no_memory_with_the_model(self):
+        model = small_model((4, 3), dropout_keep=0.7, weight_decay=0.01)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((6, 5))
+        y = rng.integers(3, size=6)
+        model.train_minibatch(x, y)
+        _, grads, _ = model.loss_and_gradients(x, y)
+        assert list(grads) == [name for name, _ in model.named_parameters()]
+        for name, g in grads.items():
+            assert not np.shares_memory(g, model.theta), name
+            assert not np.shares_memory(g, model._step), name
+
+    def test_running_statistics_update_in_place(self):
+        model = small_model((4, 3))
+        stats = model.bn_mean + model.bn_var
+        before = [s.copy() for s in stats]
+        rng = np.random.default_rng(15)
+        model.train_minibatch(rng.standard_normal((6, 5)), rng.integers(3, size=6))
+        for old, kept, new in zip(before, stats, model.bn_mean + model.bn_var):
+            assert kept is new
+            assert not np.array_equal(old, new)
+
+
+class TestTrainEpochs:
+    """One train_epochs pass feeds train_minibatch the rows of its
+    permutation in full chunks of batch_size, then the partial tail."""
+
+    @pytest.mark.parametrize("n, sizes", [(103, [9] * 11 + [4]), (5, [5])],
+                             ids=["partial_tail", "single_chunk"])
+    @pytest.mark.parametrize("indexed", [False, True], ids=["all_rows", "index"])
+    @pytest.mark.parametrize("layer_sizes", [(), (6,), (6, 4)],
+                             ids=["no_hidden", "one_hidden", "two_hidden"])
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_equals_minibatches_by_hand(self, n, sizes, indexed, layer_sizes, activation):
+        kw = dict(layer_sizes=layer_sizes, activation=activation, dropout_keep=0.7,
+                  weight_decay=0.01, batch_size=9)
+        looped, by_hand = small_model(**kw), small_model(**kw)
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2 * n + 3, 5))
+        y = rng.integers(3, size=n)
+        index = rng.permutation(len(x))[:n] if indexed else None
+        rows = x if index is None else x[index]
+
+        fed = []
+        step = looped.train_minibatch
+
+        def spy(inputs, labels):
+            fed.append(inputs.copy())  # train_epochs reuses its row array
+            return step(inputs, labels)
+
+        looped.train_minibatch = spy
+        train_epochs(looped, x, y, np.random.default_rng(17), 1, index)
+        perm = np.random.default_rng(17).permutation(n)
+        assert [len(batch) for batch in fed] == sizes
+        np.testing.assert_array_equal(np.concatenate(fed), rows[perm])  # each row once
+
+        for chunk in np.split(perm, np.cumsum(sizes)[:-1]):
+            by_hand.train_minibatch(rows[chunk], y[chunk])
+        assert looped.theta.tobytes() == by_hand.theta.tobytes()
+        for a, b in zip(looped.bn_mean + looped.bn_var, by_hand.bn_mean + by_hand.bn_var):
+            assert a.tobytes() == b.tobytes()
+        assert looped.rng.bit_generator.state == by_hand.rng.bit_generator.state
+
+
 class TestEvaluateAccuracy:
     def test_counts_argmax_matches(self):
         model = small_model(layer_sizes=(), num_classes=4)
@@ -484,28 +573,19 @@ class TestEvaluateAccuracy:
             evaluate_accuracy(model, np.zeros((2, 5)), [0])
 
 
-class TestMinibatchSlices:
-    def test_partial_tail(self):
-        assert minibatch_slices(600, 256) == [(0, 256), (256, 512), (512, 600)]
-
-    def test_small_total(self):
-        assert minibatch_slices(5, 10) == [(0, 5)]
-
-    def test_empty(self):
-        assert minibatch_slices(0, 4) == []
-
-    def test_covers_everything_once(self):
-        slabs = minibatch_slices(103, 9)
-        seen = [i for lo, hi in slabs for i in range(lo, hi)]
-        assert seen == list(range(103))
-
-
 class TestFitOffline:
     def test_rejects_zero_epochs(self):
         ds = synth_gaussian(SynthSpec(2, 4, 8, 4, seed=0))
         model = small_model(dim=4, num_classes=2)
         with pytest.raises(UsageError):
             fit_offline(model, ds, epochs=0)
+
+    def test_rejects_empty_train_split(self):
+        """train_epochs needs a row; fit_offline checks for one first."""
+        ds = synth_gaussian(SynthSpec(2, 4, 8, 4, seed=0))
+        empty = Dataset([], ds.test, ds.num_classes, ds.dim, "empty")
+        with pytest.raises(UsageError, match="empty train split"):
+            fit_offline(small_model(dim=4, num_classes=2), empty, epochs=1)
 
     def test_deterministic(self):
         ds = synth_gaussian(SynthSpec(2, 4, 24, 8, seed=1))
