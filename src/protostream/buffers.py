@@ -77,12 +77,13 @@ def _relevance_stamp(n, timestamp_sum, timestamp_sq_sum, factor):
     return mean + factor * np.sqrt(var)
 
 
-def _radii(weight, squared, centroid):
-    # per-dimension spread; weight <= 1 means radius 0 everywhere, so only
-    # the heavier rows are computed
+def _radii(weight, factor, squared, centroid):
+    # per-dimension spread of clusters whose statistics fade by factor: a
+    # fade leaves the spread as it is, and a faded weight <= 1 means radius
+    # 0 everywhere, so only the heavier rows are computed
     w = np.asarray(weight, dtype=np.float64)
     radii = np.zeros(np.shape(centroid))
-    heavy = w > 1.0
+    heavy = w * factor > 1.0
     if heavy.any():
         c = centroid[heavy]
         var = squared[heavy] / w[heavy][..., None] - c * c
@@ -295,12 +296,10 @@ class CluStreamBuffer:
         dist = float(np.sqrt(d2[near]))
         if n[near] >= 2:
             boundary = CLUSTREAM_BOUNDARY_FACTOR * _rms_radius(n[near], linear[near], squared[near])
-        elif k > 1:
+        else:  # a lone cluster has no other centroid: boundary inf
             others = ((cents - cents[near]) ** 2).sum(axis=1)
             others[near] = np.inf
             boundary = float(np.sqrt(others.min()))
-        else:
-            boundary = np.inf
         point = _point_row(x, 1.0, t, t * t)
         if dist <= boundary:
             stats[near] += point
@@ -437,21 +436,22 @@ def assign_projected_dims(radii: np.ndarray, dims_per_cluster: int) -> np.ndarra
 class HPStreamBuffer:
     """Projected faded-cluster store.
 
-    On every insert into a full buffer the clusters fade by
-    2^(-HPSTREAM_DECAY_RATE * gap), bit vectors over max(1, dim // 2)
-    dimensions per cluster are recomputed from per-dimension radii
-    (weight <= 1 means radius 0 everywhere), and the point joins the
-    cluster with the smallest normalized projected distance if that
-    distance is within HPSTREAM_SPREAD_RADIUS_FACTOR times the cluster's
-    mean per-set-bit radius; otherwise it replaces the least recently
-    updated cluster. Stream time is the sample index divided by
-    HPSTREAM_SPEED.
+    A cluster fades by 2^(-HPSTREAM_DECAY_RATE * gap) over the time since
+    its last update, so each cluster's statistics are kept as of that
+    update. On every insert into a full buffer, bit vectors over
+    max(1, dim // 2) dimensions per cluster are recomputed from
+    per-dimension radii (a faded weight <= 1 means radius 0 everywhere),
+    and the point joins the cluster with the smallest normalized projected
+    distance if that distance is within HPSTREAM_SPREAD_RADIUS_FACTOR times
+    the cluster's mean per-set-bit radius, fading that cluster to now
+    first; otherwise it replaces the least recently updated cluster. Stream
+    time is the sample index divided by HPSTREAM_SPEED.
 
     Cluster statistics are the columns of one (capacity, 1 + 2 dim)
-    matrix, weight, linear sum and squared sum, so a fade is one multiply
-    and the whole update a handful of vectorized operations. The
-    centroids live in ``rows``, a (capacity, dim) block (allocated when not
-    given), rewritten on every insert.
+    matrix, weight, linear sum and squared sum, so a fade is one row
+    multiply. The centroids live in ``rows``, a (capacity, dim) block
+    (allocated when not given); an insert rewrites only the row of the
+    cluster it seeds or that absorbs it.
     """
 
     def __init__(self, capacity: int, dim: int, rows: np.ndarray | None = None):
@@ -464,7 +464,6 @@ class HPStreamBuffer:
         self._weight = self._stats[:, 0]
         self._linear, self._squared = self._stats[:, 1:1 + dim], self._stats[:, 1 + dim:]
         self._last_update = np.zeros(capacity)
-        self._fade_time = -np.inf  # when every cluster last faded
 
     def _seed(self, i, x, t):
         self._stats[i] = _point_row(x, 1.0)
@@ -477,15 +476,9 @@ class HPStreamBuffer:
             self._seed(self.size, x, t)
             self.size += 1
             return
-        # each cluster fades over the time since its seeding or the last
-        # fade, whichever is later: its own gap on the first fade, one
-        # shared gap after it
-        gaps = t - np.maximum(self._last_update, self._fade_time)
-        factor = np.where(gaps > 0, 2.0 ** (-HPSTREAM_DECAY_RATE * gaps), 1.0)
-        self._stats *= factor[:, None]
-        self._fade_time = t
-        means = np.divide(self._linear, self._weight[:, None], out=self._means)
-        radii = _radii(self._weight, self._squared, means)
+        factor = 2.0 ** (-HPSTREAM_DECAY_RATE * (t - self._last_update))
+        means = self._means
+        radii = _radii(self._weight, factor, self._squared, means)
         bits = assign_projected_dims(radii, self.dims)
         d2 = (x - means) ** 2
         dists = np.sqrt(np.add.reduce(d2 * bits, axis=1) / np.add.reduce(bits, axis=1))
@@ -493,6 +486,7 @@ class HPStreamBuffer:
         near_radii = radii[near, bits[near]]
         limit = HPSTREAM_SPREAD_RADIUS_FACTOR * (np.add.reduce(near_radii) / len(near_radii))
         if dists[near] <= limit:
+            self._stats[near] *= factor[near]
             self._stats[near] += _point_row(x, 1.0)
             self._last_update[near] = t
             means[near] = self._linear[near] / self._weight[near]

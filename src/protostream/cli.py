@@ -248,6 +248,8 @@ def cmd_run(args) -> int:
     normalize = _flag(sweep, "normalize", True)
     features, manifest = str(sweep["features"]), str(sweep["manifest"])
     dataset = _load_dataset(features, manifest, normalize, dataset_name)
+    # the inputs' bytes enter every run's config hash, not just their paths
+    inputs_crc32 = [f"{zlib.crc32(Path(p).read_bytes()):08x}" for p in (features, manifest)]
 
     sizes = sweep.get("buffer_sizes")
     if sizes is None:
@@ -270,6 +272,7 @@ def cmd_run(args) -> int:
                         "dataset": dataset_name,
                         "features": features,
                         "manifest": manifest,
+                        "inputs_crc32": inputs_crc32,
                         "normalize": normalize,
                         "method": method,
                         "buffer_size": b,

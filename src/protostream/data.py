@@ -294,44 +294,34 @@ def _map_labels(path, raw_labels):
 def order_stream(dataset: Dataset, ordering: StreamOrdering) -> np.ndarray:
     """Return a permutation of train indices realizing the requested ordering.
 
-    iid shuffles everything; class_iid shuffles within seeded class blocks;
-    instance shuffles (class, instance) groups with frames contiguous and
-    sorted by frame_index; class_instance nests instance groups inside
-    seeded class blocks.
+    A unit is one row (``iid``, ``class_iid``) or one (class, instance)
+    run of rows sorted by frame_index, ties by row (``instance``,
+    ``class_instance``). The units are shuffled, for the ``class_`` kinds
+    inside each class of a seeded class order, then expanded to their rows.
     """
     train = dataset.train
-    if len(train) == 0:
+    n = len(train)
+    if n == 0:
         raise UsageError("cannot order an empty train split")
     rng = np.random.default_rng(ordering.seed)
-    if ordering.kind == "iid":
-        return rng.permutation(len(train))
-
     labels = train.labels
-    if ordering.kind == "class_iid":
-        chunks = []
-        for cls in rng.permutation(dataset.num_classes):
-            idx = np.flatnonzero(labels == cls)
-            chunks.append(rng.permutation(idx))
-        return np.concatenate(chunks).astype(np.int64)
-
-    # (class, instance) groups in key order, each by (frame, row): a stable lexsort
-    rows = np.lexsort((train.frames, train.instances, labels))
-    keys = np.stack([labels[rows], train.instances[rows]])
-    starts = np.flatnonzero(np.r_[True, (np.diff(keys, axis=1) != 0).any(axis=0)])
-    groups = np.split(rows, starts[1:])
-    group_class = keys[0, starts]
-
-    if ordering.kind == "instance":
-        order = rng.permutation(len(groups))
-        return np.concatenate([groups[j] for j in order]).astype(np.int64)
-
-    # class_instance: seeded class order, then seeded instance order per class
-    chunks = []
-    for cls in rng.permutation(dataset.num_classes):
-        members = np.flatnonzero(group_class == cls)
-        for j in rng.permutation(len(members)):
-            chunks.append(groups[members[j]])
-    return np.concatenate(chunks).astype(np.int64)
+    if ordering.kind.endswith("iid"):
+        rows = starts = np.arange(n)
+    else:
+        # (class, instance) runs in key order, each by (frame, row): a stable lexsort
+        rows = np.lexsort((train.frames, train.instances, labels))
+        keys = np.stack([labels[rows], train.instances[rows]])
+        starts = np.flatnonzero(np.r_[True, (np.diff(keys, axis=1) != 0).any(axis=0)])
+    if ordering.kind.startswith("class_"):
+        unit_class = labels[rows[starts]]
+        units = np.concatenate([rng.permutation(np.flatnonzero(unit_class == cls))
+                                for cls in rng.permutation(dataset.num_classes)])
+    else:
+        units = rng.permutation(len(starts))
+    # output position p, k rows into its unit, takes rows[unit start + k]
+    sizes = np.diff(starts, append=n)[units]
+    shift = np.repeat(starts[units] - np.cumsum(sizes) + sizes, sizes)
+    return rows[shift + np.arange(len(shift))]
 
 
 def synth_gaussian(spec: SynthSpec) -> Dataset:

@@ -9,10 +9,10 @@ import pytest
 
 from protostream import (BufferManager, STRATEGIES, UsageError, assign_projected_dims,
                          kmeans_lloyd)
-from protostream.buffers import (CLUSTREAM_HORIZON, HPSTREAM_SPEED, CluStreamBuffer,
-                                 ExStreamBuffer, HPStreamBuffer, OnlineKMeansBuffer,
-                                 QueueBuffer, ReservoirBuffer, _centroid, _radii,
-                                 _relevance_stamp, _rms_radius)
+from protostream.buffers import (CLUSTREAM_HORIZON, HPSTREAM_DECAY_RATE, HPSTREAM_SPEED,
+                                 CluStreamBuffer, ExStreamBuffer, HPStreamBuffer,
+                                 OnlineKMeansBuffer, QueueBuffer, ReservoirBuffer, _centroid,
+                                 _radii, _relevance_stamp, _rms_radius)
 
 
 # ---------------------------------------------------------------- simulators
@@ -87,10 +87,21 @@ def stable_sort_bits(radii, per_cluster):
     return bits
 
 
-def faded_centroid_radii(buf, i):
-    """Centroid and per-dimension radii of HPStream cluster i."""
+def fade_factor(buf, t):
+    """Each HPStream cluster's fade from its last update to time t (in
+    units of HPSTREAM_SPEED samples)."""
+    return 2.0 ** (-HPSTREAM_DECAY_RATE * (t - buf._last_update))
+
+
+def faded_weight(buf, t):
+    """Each HPStream cluster's weight faded to time t."""
+    return buf._weight * fade_factor(buf, t)
+
+
+def faded_centroid_radii(buf, i, t):
+    """Centroid and per-dimension radii of HPStream cluster i at time t."""
     centroid = _centroid(buf._weight[i], buf._linear[i])
-    return centroid, _radii(buf._weight[i], buf._squared[i], centroid)
+    return centroid, _radii(buf._weight[i], fade_factor(buf, t)[i], buf._squared[i], centroid)
 
 
 def gaussian_stream(n, dim, seed, spread=3.0):
@@ -282,6 +293,21 @@ class TestCluStream:
         assert buf._n[0] == 3
         np.testing.assert_allclose(_centroid(buf._n[0], buf._linear[0]), [1.0, 0.0])
 
+    def test_lone_singleton_joins_any_point(self):
+        # capacity 1: once the stale cluster is evicted, the singleton left
+        # has no other centroid to bound it, so the next point joins it,
+        # though the singleton is stale by then and a rejected point would
+        # have evicted it
+        buf = self._buf(1)
+        buf.insert(np.array([0.0, 0.0]), 1)
+        buf.insert(np.array([0.0, 1.0]), 2)
+        buf.insert(np.array([50.0, 50.0]), 3 + CLUSTREAM_HORIZON)  # stamp 2.5 < 3: evicted
+        assert buf.size == 1 and buf._n[0] == 1
+        np.testing.assert_array_equal(buf.vectors(), [[50.0, 50.0]])
+        buf.insert(np.array([90.0, 10.0]), 4 + 2 * CLUSTREAM_HORIZON)
+        assert buf.size == 1 and buf._n[0] == 2
+        np.testing.assert_array_equal(buf.vectors(), [[70.0, 30.0]])
+
     def test_count_conserved_on_long_stream(self):
         buf = self._buf(4)
         stream = gaussian_stream(300, 3, seed=5)
@@ -329,7 +355,9 @@ class TestKMeansLloyd:
 class TestFadedCluster:
     """Fade and absorb arithmetic, read off HPStream buffers over two
     dimensions (one projected), with times given in units of
-    HPSTREAM_SPEED samples."""
+    HPSTREAM_SPEED samples. Each cluster's statistics stay as of its last
+    update; its weight at a later time t is the stored weight times
+    fade_factor."""
 
     def _buf(self, capacity, points):
         buf = HPStreamBuffer(capacity, 2)
@@ -344,14 +372,15 @@ class TestFadedCluster:
         assert buf._weight[0] == 0.5 * 1.0 + 1.0
         np.testing.assert_array_equal(buf._linear[0], [0.5 * 2.0 + 2.0, 0.5 * 4.0 + 0.0])
         np.testing.assert_array_equal(buf._squared[0], [0.5 * 4.0 + 4.0, 0.5 * 16.0 + 0.0])
-        assert buf._fade_time == 2.0 and buf._last_update[0] == 2.0
+        # stored as of the absorb at t = 2: no fade left to apply then
+        assert buf._last_update[0] == 2.0 and faded_weight(buf, 2.0)[0] == 1.5
 
     def test_absorb_after_fade(self):
         buf = self._buf(1, [([2.0, 4.0], 0.0), ([2.0, 0.0], 2.0)])
         assert buf._weight[0] == 1.5
         np.testing.assert_array_equal(buf._linear[0], [3.0, 2.0])
         np.testing.assert_array_equal(buf._squared[0], [6.0, 8.0])
-        centroid, radii = faded_centroid_radii(buf, 0)
+        centroid, radii = faded_centroid_radii(buf, 0, 2.0)
         np.testing.assert_array_equal(assign_projected_dims(radii[None], buf.dims)[0],
                                       [True, False])
         np.testing.assert_allclose(centroid, [2.0, 4.0 / 3.0])
@@ -359,21 +388,23 @@ class TestFadedCluster:
 
     def test_light_cluster_has_zero_radius(self):
         buf = self._buf(2, [([3.0, -1.0], 0.0), ([100.0, 100.0], 0.0)])
-        np.testing.assert_array_equal(faded_centroid_radii(buf, 0)[1], [0.0, 0.0])
+        np.testing.assert_array_equal(faded_centroid_radii(buf, 0, 0.0)[1], [0.0, 0.0])
         buf.insert(np.array([100.0, 7.0]), 4.0 * HPSTREAM_SPEED)  # cluster 1 absorbs it
-        assert buf._weight[0] == 0.25 and buf._fade_time == 4.0
-        np.testing.assert_array_equal(faded_centroid_radii(buf, 0)[1], [0.0, 0.0])
+        # cluster 0 is untouched: weight 1 as of t = 0, faded to 0.25 at t = 4
+        assert buf._weight[0] == 1.0 and buf._last_update[0] == 0.0
+        assert faded_weight(buf, 4.0)[0] == 0.25
+        np.testing.assert_array_equal(faded_centroid_radii(buf, 0, 4.0)[1], [0.0, 0.0])
 
     def test_fade_preserves_centroid_and_radii(self):
         # cluster 1 absorbs [1, 1]; the probe at t=0.5 lands in cluster 0,
         # so cluster 1 is only faded
         buf = self._buf(2, [([50.0, 50.0], 0.0), ([1.0, 5.0], 0.0), ([1.0, 1.0], 0.0)])
         assert buf._weight[1] == 2.0
-        centroid, radii = faded_centroid_radii(buf, 1)
+        centroid, radii = faded_centroid_radii(buf, 1, 0.0)
         buf.insert(np.array([50.0, 50.0]), 0.5 * HPSTREAM_SPEED)
-        np.testing.assert_allclose(buf._weight[1], 2.0 * 2.0 ** -0.25)
-        assert buf._last_update[1] == 0.0 and buf._fade_time == 0.5
-        after_centroid, after_radii = faded_centroid_radii(buf, 1)
+        assert buf._weight[1] == 2.0 and buf._last_update[1] == 0.0
+        np.testing.assert_allclose(faded_weight(buf, 0.5)[1], 2.0 * 2.0 ** -0.25)
+        after_centroid, after_radii = faded_centroid_radii(buf, 1, 0.5)
         np.testing.assert_allclose(after_centroid, centroid)
         np.testing.assert_allclose(after_radii, radii)
         np.testing.assert_allclose(radii, [0.0, 2.0])
@@ -384,30 +415,42 @@ class TestFadedCluster:
         # recently updated cluster
         buf = self._buf(3, [([0.0, 0.0], 0.0), ([10.0, 10.0], 1.0), ([20.0, 20.0], 2.0),
                             ([100.0, 100.0], 4.0)])
-        # the first fade: cluster 1 by its gap of 3, cluster 2 by its gap of 2
-        np.testing.assert_allclose(buf._weight, [1.0, 2.0 ** -1.5, 0.5])
-        np.testing.assert_allclose(buf._linear[1], [10.0 * 2.0 ** -1.5] * 2)
+        # at t = 4: cluster 1 faded by its gap of 3, cluster 2 by its gap of 2
+        np.testing.assert_array_equal(buf._last_update, [4.0, 1.0, 2.0])
+        np.testing.assert_allclose(faded_weight(buf, 4.0), [1.0, 2.0 ** -1.5, 0.5])
+        np.testing.assert_allclose(buf._linear[1] * fade_factor(buf, 4.0)[1],
+                                   [10.0 * 2.0 ** -1.5] * 2)
         buf.insert(np.array([200.0, 200.0]), 6.0 * HPSTREAM_SPEED)
-        # the second fade halves every cluster (gap 2 since the last fade),
-        # including cluster 2, seeded 4 units ago; cluster 1 is replaced
-        np.testing.assert_array_equal(buf._weight, [0.5, 1.0, 0.25])
-        np.testing.assert_array_equal(buf._linear, [[50.0, 50.0], [200.0, 200.0], [5.0, 5.0]])
+        # two more units halve every cluster's weight at t = 4, including
+        # cluster 2, seeded 4 units ago; cluster 1 is replaced
+        np.testing.assert_array_equal(buf._weight, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(faded_weight(buf, 6.0), [0.5, 1.0, 0.25])
+        np.testing.assert_array_equal(buf._linear * fade_factor(buf, 6.0)[:, None],
+                                      [[50.0, 50.0], [200.0, 200.0], [5.0, 5.0]])
         np.testing.assert_array_equal(buf.vectors(), [[100.0, 100.0], [200.0, 200.0],
                                                       [20.0, 20.0]])
 
 
 class TestRadii:
     def test_equals_full_formula_for_mixed_weights(self):
+        # stored weights whose fades give 0.25, 1, 1 + 1e-12, 2.5, 0.9 and 7:
+        # heaviness is judged on the faded weight, the spread on the stored
+        # statistics (a fade scales weight and sums alike)
         rng = np.random.default_rng(17)
-        weight = np.array([0.25, 1.0, 1.0 + 1e-12, 2.5, 0.9, 7.0])
+        weight = np.array([0.5, 2.0, 2.0 + 2e-12, 5.0, 1.8, 7.0])
+        factor = np.array([0.5, 0.5, 0.5, 0.5, 0.5, 1.0])
         linear = rng.standard_normal((6, 5)) * weight[:, None]
         squared = linear ** 2 / weight[:, None] + rng.random((6, 5))
         centroid = _centroid(weight, linear)
         var = squared / weight[:, None] - centroid * centroid
-        want = np.where(weight[:, None] <= 1.0, 0.0, np.sqrt(np.maximum(var, 0.0)))
-        np.testing.assert_array_equal(_radii(weight, squared, centroid), want)
+        want = np.where((weight * factor)[:, None] <= 1.0, 0.0, np.sqrt(np.maximum(var, 0.0)))
+        np.testing.assert_array_equal(_radii(weight, factor, squared, centroid), want)
         for i in range(6):  # one row at a time
-            np.testing.assert_array_equal(_radii(weight[i], squared[i], centroid[i]), want[i])
+            np.testing.assert_array_equal(
+                _radii(weight[i], factor[i], squared[i], centroid[i]), want[i])
+        # a fade leaves the radii as they are: the faded statistics give the same
+        faded = _radii(weight * factor, 1.0, squared * factor[:, None], centroid)
+        np.testing.assert_allclose(faded, want, rtol=1e-12, atol=1e-12)
 
 
 class TestProjectedDims:
@@ -472,7 +515,7 @@ class TestHPStream:
         np.testing.assert_allclose(buf._weight[1], f + 1.0)
         np.testing.assert_allclose(buf._linear[1], [10.0 * f + 10.0, 10.0 * f - 3.0])
         assert buf._last_update[1] == 2.0
-        centroid, radii = faded_centroid_radii(buf, 1)
+        centroid, radii = faded_centroid_radii(buf, 1, 2.0)
         np.testing.assert_allclose(centroid[0], 10.0)
         assert radii[0] == 0.0 and radii[1] > 1.0
 
@@ -484,7 +527,35 @@ class TestHPStream:
         buf.insert(np.array([50.0, 50.0]), 3 * HPSTREAM_SPEED)   # too far from anything
         np.testing.assert_array_equal(buf._linear[0], [50.0, 50.0])
         assert buf._weight[0] == 1.0 and buf._last_update[0] == 3.0
-        np.testing.assert_allclose(buf._weight[1], (2.0 ** -0.5 + 1) * 2.0 ** -0.5)
+        np.testing.assert_allclose(buf._weight[1], 2.0 ** -0.5 + 1)  # as of t = 2
+        np.testing.assert_allclose(faded_weight(buf, 3.0)[1], (2.0 ** -0.5 + 1) * 2.0 ** -0.5)
+
+    def test_exact_repeat_of_a_stored_point_is_absorbed(self):
+        # the centroid of a cluster seeded with p is p itself, at distance
+        # 0 from a repeat of p, and a light cluster's limit is 0
+        p = np.array([0.1, -0.3])
+        buf = HPStreamBuffer(2, 2)
+        for x, t in ((p, 0), ([40.0, 40.0], 1), ([40.0, 41.0], 2), (p, 3)):
+            buf.insert(np.array(x), t)
+        t = 3 / HPSTREAM_SPEED
+        assert buf._last_update[0] == t and buf._last_update[1] == 2 / HPSTREAM_SPEED
+        np.testing.assert_allclose(buf._weight[0], 2.0 ** (-HPSTREAM_DECAY_RATE * t) + 1.0)
+        np.testing.assert_allclose(buf.vectors()[0], p)
+
+    def test_insert_changes_only_the_cluster_it_seeds_or_that_absorbs(self):
+        # rounded points repeat on projected dimensions, so some are absorbed
+        buf = HPStreamBuffer(4, 6)
+        kinds = []
+        for t, x in enumerate(np.round(gaussian_stream(300, 6, seed=8))):
+            stats, means = buf._stats.copy(), buf._means.copy()
+            buf.insert(x, t)
+            changed = np.flatnonzero((buf._stats != stats).any(axis=1)
+                                     | (buf._means != means).any(axis=1))
+            assert len(changed) == 1, t
+            i = changed[0]
+            assert buf._last_update[i] == t / HPSTREAM_SPEED
+            kinds.append("seed" if buf._weight[i] == 1.0 else "absorb")
+        assert kinds[4:].count("seed") > 0 and kinds.count("absorb") > 0
 
     def test_capacity_respected_on_long_stream(self):
         buf = HPStreamBuffer(3, 4)

@@ -247,6 +247,28 @@ class TestRun:
         assert main(["run", "--config", sweep(0.1), "--baseline", base, "--out", str(out)]) == 2
         assert out.read_bytes() == stripped
 
+    def test_resume_refuses_rewritten_inputs(self, workspace, tmp_path, capsys):
+        """A sweep resumed after its input files were rewritten in place
+        exits 2: one log never mixes runs on different data."""
+        synth = write_json(tmp_path / "synth.json", SYNTH)
+        data, out = tmp_path / "data", tmp_path / "results.jsonl"
+        inputs = {"features": data / "features.feat", "manifest": data / "manifest.csv"}
+
+        def run(seeds):
+            cfg = write_json(tmp_path / "sweep.json", sweep_config(
+                inputs, methods=["queue"], seeds=seeds, buffer_sizes=[2]))
+            return main(["run", "--config", str(cfg),
+                         "--baseline", str(workspace["baseline"]), "--out", str(out)])
+
+        assert main(["synth", "--config", str(synth), "--out", str(data)]) == 0
+        assert run([0]) == 0
+        first = out.read_bytes()
+        assert main(["synth", "--config", str(synth), "--seed", "7", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert run([0, 1]) == 2
+        assert out.read_bytes() == first
+        assert "toy-queue-b2-iid-s0" in capsys.readouterr().err
+
     def test_resume_finishes_interrupted_run(self, workspace, tmp_path):
         cfg = write_json(tmp_path / "sweep.json",
                          sweep_config(workspace, methods=["queue"],

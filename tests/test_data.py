@@ -189,6 +189,18 @@ def _scrambled_dataset(seed=0):
     return Dataset(train, test, 4, 4, "scrambled")
 
 
+def _edge_dataset(seed=0):
+    """Rows in seeded order where class 1 has no train rows, instance
+    (2, 5) has a single frame, and (class, instance, frame) keys repeat."""
+    rng = np.random.default_rng(seed)
+    ids = [(0, 0, 1), (2, 5, 0), (0, 0, 0), (3, 1, 2), (0, 0, 1), (3, 1, 0), (3, 0, 0),
+           (3, 1, 2), (0, 1, 0), (3, 0, 0), (2, 0, 3), (2, 0, 3)]
+    train = [LabeledSample(rng.standard_normal(3), *ids[i], "train")
+             for i in rng.permutation(len(ids))]
+    test = [LabeledSample(rng.standard_normal(3), cls, 0, 0, "test") for cls in (0, 2, 3)]
+    return Dataset(train, test, 4, 3, "edges")
+
+
 def _split_arrays(split):
     return split.features, split.labels, split.instances, split.frames
 
@@ -509,12 +521,14 @@ class TestReferenceParity:
             np.testing.assert_array_equal(ids, [r[1:] for r in rows])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("source", ["toy", "scrambled", *WORKLOAD_SHAPES])
+    @pytest.mark.parametrize("source", ["toy", "scrambled", "edges", *WORKLOAD_SHAPES])
     def test_orderings_match_dict_grouping(self, source, seed):
         if source == "toy":
             ds = _toy_dataset(seed=seed)
         elif source == "scrambled":
             ds = _scrambled_dataset(seed)
+        elif source == "edges":
+            ds = _edge_dataset(seed)
         else:
             ds = synth_gaussian(SynthSpec(**WORKLOAD_SHAPES[source], seed=seed))
         rows = list(ds.train)
