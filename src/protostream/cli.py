@@ -14,17 +14,18 @@ import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .buffers import BOUNDED_STRATEGIES
-from .data import (Dataset, ORDERING_KINDS, StreamOrdering, SynthSpec,
-                   load_feature_matrix, load_manifest, synth_gaussian, write_dataset)
+from .data import (Dataset, StreamOrdering, SynthSpec, load_feature_matrix, load_manifest,
+                   synth_gaussian, write_dataset)
 from .errors import DataFormatError, NumericError, UsageError, require_int
 from .metrics import OmegaResult, mu_total, omega_score
 from .mlp import MLPClassifier, MLPConfig, fit_offline
-from .protocol import METHODS, AccuracyCurve, RunConfig, execute_run
+from .protocol import AccuracyCurve, RunConfig, execute_run
 
 SMALL_LABEL_SET_SIZES = (2, 4, 8, 16, 32, 64, 128, 256)
 LARGE_LABEL_SET_SIZES = (2, 4, 8, 16)
@@ -59,6 +60,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # say, an --out that is a file where a directory belongs
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,14 +153,20 @@ def _is_accuracy(value) -> bool:
     return type(value) in (int, float) and 0 <= value <= 1
 
 
-def _read_baseline(path) -> tuple[str, float]:
-    """A baseline file's dataset name and offline accuracy, a number in
-    [0, 1]; anything else in their place is a data error."""
+def _read_baseline(path) -> dict:
+    """A baseline file's fields, with its dataset name a string and its
+    offline accuracy a float in [0, 1]; anything else in their place is a
+    data error."""
     baseline = _load_json(path, "baseline")
     if not (isinstance(baseline, dict) and isinstance(baseline.get("dataset"), str)
             and _is_accuracy(baseline.get("accuracy"))):
         raise DataFormatError(f"{path}: baseline needs a dataset name and an accuracy in [0, 1]")
-    return baseline["dataset"], float(baseline["accuracy"])
+    return {**baseline, "accuracy": float(baseline["accuracy"])}
+
+
+def _inputs_crc32(features, manifest) -> list[str]:
+    """CRC-32 of the features and manifest files' bytes, as 8 hex digits each."""
+    return [f"{zlib.crc32(Path(p).read_bytes()):08x}" for p in (features, manifest)]
 
 
 def _load_dataset(features_path, manifest_path, normalize, name=None) -> Dataset:
@@ -205,8 +215,10 @@ def cmd_baseline(args) -> int:
     dataset = _load_dataset(args.features, args.manifest, normalize, name)
     model = MLPClassifier(config, dataset.dim, dataset.num_classes)
     _, accuracy = fit_offline(model, dataset, epochs)
-    record = {"dataset": dataset.name, "seed": config.seed,
-              "accuracy": accuracy, "epochs": epochs}
+    # `run` scores a sweep against this baseline only on the same inputs
+    record = {"dataset": dataset.name, "seed": config.seed, "accuracy": accuracy,
+              "epochs": epochs, "normalize": normalize,
+              "inputs_crc32": _inputs_crc32(args.features, args.manifest)}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, sort_keys=True) + "\n")
@@ -227,77 +239,63 @@ def cmd_run(args) -> int:
             raise UsageError(f"sweep config is missing the {key!r} key")
     dataset_name = str(sweep["dataset"])
 
-    baseline_dataset, _ = _read_baseline(args.baseline)
-    if baseline_dataset != dataset_name:
+    baseline = _read_baseline(args.baseline)
+    if baseline["dataset"] != dataset_name:
         raise UsageError(
             f"no baseline for dataset {dataset_name!r} in {args.baseline} "
-            f"(found {baseline_dataset!r}); run 'protostream baseline' first")
+            f"(found {baseline['dataset']!r}); run 'protostream baseline' first")
 
     methods = _convert(list, sweep["methods"], "methods")
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}; expected one of {METHODS}")
     orderings = _convert(list, sweep["orderings"], "orderings")
-    for o in orderings:
-        if o not in ORDERING_KINDS:
-            raise UsageError(f"unknown ordering {o!r}; expected one of {ORDERING_KINDS}")
     seeds = _ints(sweep["seeds"], "seeds")
-    if not methods or not orderings or not seeds:
-        raise UsageError("sweep needs at least one method, ordering and seed")
-
     normalize = _flag(sweep, "normalize", True)
     features, manifest = str(sweep["features"]), str(sweep["manifest"])
     dataset = _load_dataset(features, manifest, normalize, dataset_name)
     # the inputs' bytes enter every run's config hash, not just their paths
-    inputs_crc32 = [f"{zlib.crc32(Path(p).read_bytes()):08x}" for p in (features, manifest)]
+    inputs_crc32 = _inputs_crc32(features, manifest)
 
     sizes = sweep.get("buffer_sizes")
     if sizes is None:
         sizes = (LARGE_LABEL_SET_SIZES if dataset.num_classes >= LARGE_LABEL_SET_MIN
                  else SMALL_LABEL_SET_SIZES)
     sizes = _ints(sizes, "buffer_sizes")
-
-    eval_every = require_int(sweep.get("eval_every", 1), "eval_every")
     mlp_payload = _convert(dict, sweep.get("mlp", {}), "mlp")
 
+    common = {"dataset": dataset_name, "features": features, "manifest": manifest,
+              "inputs_crc32": inputs_crc32, "normalize": normalize,
+              "eval_every": sweep.get("eval_every", 1), "mlp": mlp_payload}
+    # every run is configured, so checked, before the first one executes
     tasks = []
     for method in methods:
-        per_method_sizes = sizes if method in BOUNDED_STRATEGIES else [0]
-        for b in per_method_sizes:
+        for b in sizes if method in BOUNDED_STRATEGIES else [0]:
             for ordering in orderings:
                 for seed in seeds:
-                    run_id = f"{dataset_name}-{method}-b{b}-{ordering}-s{seed}"
-                    tasks.append({
-                        "run_id": run_id,
-                        "dataset": dataset_name,
-                        "features": features,
-                        "manifest": manifest,
-                        "inputs_crc32": inputs_crc32,
-                        "normalize": normalize,
-                        "method": method,
-                        "buffer_size": b,
-                        "ordering": ordering,
-                        "seed": seed,
-                        "eval_every": eval_every,
-                        "mlp": mlp_payload,
-                    })
-    # a bad setting of any run fails the sweep before the first run executes
-    for task in tasks:
-        _run_config(task)
+                    task = {"run_id": f"{dataset_name}-{method}-b{b}-{ordering}-s{seed}",
+                            **common, "method": method, "buffer_size": b,
+                            "ordering": ordering, "seed": seed}
+                    tasks.append((task, _run_config(task)))
+    if not tasks:
+        raise UsageError("sweep has no runs: it needs a method, an ordering and a seed, "
+                         "and a buffer size for a bounded method")
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     runs, intact = _read_log(out)
     done = {run_id: run.terminal.get("config") for run_id, run in runs.items() if run.terminal}
-    for task in tasks:
+    for task, _ in tasks:
         run_id = task["run_id"]
         if run_id in done and done[run_id] != _config_hash(task):
             raise UsageError(f"{out} holds a finished run {run_id} with another "
                              f"configuration; write this sweep to a new --out")
+    # after the log's check: a log of other inputs needs a new --out whatever the baseline
+    if [baseline.get("inputs_crc32"), baseline.get("normalize")] != [inputs_crc32, normalize]:
+        raise UsageError(
+            f"baseline {args.baseline} was not trained on these features and manifest "
+            f"with normalize {normalize}; run 'protostream baseline' again")
+    out.parent.mkdir(parents=True, exist_ok=True)
     if out.exists() and out.stat().st_size > intact:
         print(f"dropping an unfinished write at the end of {out}", file=sys.stderr)
         os.truncate(out, intact)
-    pending = [t for t in tasks if t["run_id"] not in done]
+    pending = [(task, config) for task, config in tasks if task["run_id"] not in done]
     # a pool starts all its workers at the first submit: never more than the runs
     workers = min(args.jobs, len(pending))
     where = f"{workers} worker processes" if workers > 1 else "this process"
@@ -306,11 +304,11 @@ def cmd_run(args) -> int:
 
     with open(out, "a") as log:
         if workers <= 1:
-            for task in pending:
-                _write_records(log, _execute_task(task))
+            for task, config in pending:
+                _write_records(log, _execute_task(task, config))
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_execute_task, task) for task in pending]
+                futures = [pool.submit(_execute_task, *pair) for pair in pending]
                 for future in as_completed(futures):
                     _write_records(log, future.result())
     return 0
@@ -332,32 +330,6 @@ def _is_run_record(record) -> bool:
                  or (record["t"] >= 1 and _is_accuracy(record.get("accuracy")))))
 
 
-def _log_records(path):
-    """Yield (record, end offset) for each record of a results log.
-
-    Every record ends with a newline, so a last line without one is a
-    write cut short by a crash: it is skipped, and ``run`` cuts it off and
-    re-executes its run. A corrupt line anywhere else is an error, and so is
-    a line that is not a run record (``_is_run_record``).
-    """
-    end = 0
-    with open(path, "rb") as fh:
-        for line in fh:
-            if not line.endswith(b"\n"):
-                return
-            end += len(line)
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: corrupt results line: {exc}") from exc
-            if not _is_run_record(record):
-                text = line.decode(errors="replace").strip()[:200]
-                raise DataFormatError(f"{path}: not a run record: {text}")
-            yield record, end
-
-
 @dataclass
 class _LoggedRun:
     """One run of a results log: its RUN_FIELDS, its events as {t: accuracy},
@@ -370,18 +342,39 @@ class _LoggedRun:
 
 def _read_log(path: Path) -> tuple[dict[str, _LoggedRun], int]:
     """Each run of a results log by run_id, in order of first appearance,
-    and the byte length of the log's intact part (up to its last newline);
-    ``run`` resumes from it and ``report`` scores it. The last record of a
-    (run, t) wins, so a run re-executed after a partial write never counts
-    an event twice."""
-    runs, intact = {}, 0
-    if path.exists():
-        for record, intact in _log_records(path):
+    and the byte length of the log's intact part (up to the end of its last
+    record); ``run`` resumes from it and ``report`` scores it.
+
+    Every record ends with a newline, so a last line without one is a
+    write cut short by a crash: it is skipped, and ``run`` cuts it off and
+    re-executes its run. A corrupt line anywhere else is an error, and so is
+    a line that is not a run record (``_is_run_record``). The last record of
+    a (run, t) wins, so a run re-executed after a partial write never counts
+    an event twice.
+    """
+    runs, intact, end = {}, 0, 0
+    if not path.exists():
+        return runs, intact
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            end += len(line)
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{path}: corrupt results line: {exc}") from exc
+            if not _is_run_record(record):
+                text = line.decode(errors="replace").strip()[:200]
+                raise DataFormatError(f"{path}: not a run record: {text}")
+            intact = end
             run = runs.get(record["run_id"])
             if run is None:
                 run = runs[record["run_id"]] = _LoggedRun({k: record[k] for k in RUN_FIELDS})
             if "t" in record:
-                run.events[int(record["t"])] = float(record["accuracy"])
+                run.events[record["t"]] = float(record["accuracy"])
             if "memory_cost" in record:
                 run.terminal = record
     return runs, intact
@@ -400,6 +393,8 @@ def _write_records(log, records):
 
 
 def _run_config(task) -> RunConfig:
+    """The run a task describes; its checks are the sweep's checks of
+    method, ordering, capacity, eval_every and mlp."""
     mlp_payload = dict(task["mlp"])
     mlp_payload["seed"] = task["seed"]
     return RunConfig(
@@ -413,19 +408,14 @@ def _run_config(task) -> RunConfig:
     )
 
 
-def _execute_task(task) -> list[dict]:
+def _execute_task(task, config: RunConfig) -> list[dict]:
     dataset = _load_dataset(task["features"], task["manifest"],
                             task["normalize"], task["dataset"])
-    result = execute_run(dataset, _run_config(task))
+    result = execute_run(dataset, config)
     identity = {k: task[k] for k in ("run_id",) + RUN_FIELDS}
-    records = []
-    for t, accuracy in result.curve.events:
-        records.append({**identity, "t": t, "accuracy": accuracy})
-    records.append({**identity,
-                    "config": _config_hash(task),
-                    "wall_clock_s": result.wall_clock_s,
-                    "memory_cost": result.memory_cost})
-    return records
+    records = [{**identity, "t": t, "accuracy": accuracy} for t, accuracy in result.curve.events]
+    return records + [{**identity, "config": _config_hash(task),
+                       "wall_clock_s": result.wall_clock_s, "memory_cost": result.memory_cost}]
 
 
 # -- report ----------------------------------------------------------------
@@ -439,77 +429,54 @@ def cmd_report(args) -> int:
     runs, _ = _read_log(results_path)
     if not any(run.events for run in runs.values()):
         raise DataFormatError(f"{results_path}: no event records to report")
+    # a run without a terminal record is not scored: its curve may be cut short
+    unfinished = sum(1 for run in runs.values() if run.events and not run.terminal)
+    if unfinished:
+        print(f"skipped {unfinished} unfinished run(s) with no terminal record",
+              file=sys.stderr)
 
-    omegas = _per_run_omegas(runs, *baseline)
+    # omega per finished run against the baseline, by (dataset, ordering, method, size)
+    omegas: dict[tuple, list[float]] = {}
+    for run_id, run in runs.items():
+        if not (run.events and run.terminal):
+            continue
+        meta = run.meta
+        if meta["dataset"] != baseline["dataset"]:
+            raise DataFormatError(
+                f"run {run_id} is for dataset {meta['dataset']!r} but the baseline "
+                f"covers {baseline['dataset']!r}")
+        times, values = map(np.array, zip(*sorted(run.events.items())))
+        offline = AccuracyCurve(times, np.full(len(times), baseline["accuracy"]))
+        score = omega_score(AccuracyCurve(times, values), offline,
+                            buffer_size=meta["buffer_size"])
+        key = (meta["dataset"], meta["ordering"], meta["method"], meta["buffer_size"])
+        omegas.setdefault(key, []).append(score.omega)
     if not omegas:
         raise DataFormatError(f"{results_path}: no run has finished")
-    table_rows, plot_rows = _aggregate(omegas)
+
+    # a row per size, its mean and spread over seeds; then mu over sizes per method
+    table_rows, plot_rows, mu_rows = [], [], []
+    for method_key, keys in groupby(sorted(omegas), key=lambda key: key[:3]):
+        per_size = []
+        for key in keys:
+            values = np.array(omegas[key])
+            mean = float(values.mean())
+            row = (*method_key, str(key[3]), f"{mean:.3f}", f"{float(values.std()):.3f}")
+            table_rows.append(row + (str(len(values)),))
+            plot_rows.append(row)
+            per_size.append(OmegaResult(key[3], mean, 0))
+        mu_rows.append((*method_key, "mu_total", f"{mu_total(per_size).mu:.3f}", "", ""))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "omega_table.csv"
     plot_path = out / "plot_data.csv"
     _write_csv(table_path, ("dataset", "ordering", "method", "buffer_size",
-                            "omega", "omega_std", "seeds"), table_rows)
+                            "omega", "omega_std", "seeds"), table_rows + mu_rows)
     _write_csv(plot_path, ("dataset", "ordering", "method", "buffer_size",
                            "omega", "omega_std"), plot_rows)
     print(f"wrote {table_path} and {plot_path}")
     return 0
-
-
-def _per_run_omegas(runs, dataset, accuracy):
-    """Omega per finished run with events, against the baseline's dataset
-    and accuracy; runs without a terminal record are skipped (and counted
-    on stderr): their curves may be cut short."""
-    unfinished = [run for run in runs.values() if run.events and not run.terminal]
-    if unfinished:
-        print(f"skipped {len(unfinished)} unfinished run(s) with no terminal record",
-              file=sys.stderr)
-
-    omegas = []
-    for run_id, run in runs.items():
-        if not (run.events and run.terminal):
-            continue
-        meta = run.meta
-        if meta["dataset"] != dataset:
-            raise DataFormatError(
-                f"run {run_id} is for dataset {meta['dataset']!r} but the baseline "
-                f"covers {dataset!r}")
-        times, values = map(np.array, zip(*sorted(run.events.items())))
-        offline = np.full(len(times), accuracy)
-        stream = AccuracyCurve(times, values)
-        off = AccuracyCurve(times, offline)
-        score = omega_score(stream, off, buffer_size=meta["buffer_size"])
-        omegas.append((meta, score))
-    return omegas
-
-
-def _aggregate(omegas):
-    groups: dict[tuple, list[float]] = {}
-    for meta, score in omegas:
-        key = (meta["dataset"], meta["ordering"], meta["method"], int(meta["buffer_size"]))
-        groups.setdefault(key, []).append(score.omega)
-
-    table_rows = []
-    plot_rows = []
-    by_method: dict[tuple, list] = {}
-    for key in sorted(groups):
-        dataset, ordering, method, size = key
-        values = np.array(groups[key])
-        mean = float(values.mean())
-        std = float(values.std())
-        row = (dataset, ordering, method, str(size), f"{mean:.3f}", f"{std:.3f}")
-        table_rows.append(row + (str(len(values)),))
-        plot_rows.append(row)
-        by_method.setdefault((dataset, ordering, method), []).append((size, mean))
-
-    summary_rows = []
-    for (dataset, ordering, method), pairs in sorted(by_method.items()):
-        per_size = [OmegaResult(size, mean, 0) for size, mean in pairs]
-        mu = mu_total(per_size).mu
-        summary_rows.append((dataset, ordering, method, "mu_total", f"{mu:.3f}", "", ""))
-
-    return table_rows + summary_rows, plot_rows
 
 
 def _write_csv(path, header, rows):

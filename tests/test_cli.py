@@ -403,6 +403,44 @@ class TestRun:
         err = capsys.readouterr().err
         assert "protostream baseline" in err and "toy" in err
 
+    @pytest.mark.parametrize("case", ["rewritten_inputs", "older_baseline", "other_normalize"])
+    def test_baseline_is_bound_to_its_inputs(self, tmp_path, capsys, case):
+        """A baseline scores a sweep only on the feature and manifest bytes
+        and the normalization it was trained on; one that does not record
+        them, from an older version, must be trained again."""
+        synth = write_json(tmp_path / "synth.json", SYNTH)
+        data, baseline = tmp_path / "data", tmp_path / "baseline.json"
+        inputs = {"features": data / "features.feat", "manifest": data / "manifest.csv"}
+        base_cfg = write_json(tmp_path / "b.json", {"dataset": "toy", "epochs": 1, "mlp": MLP})
+        assert main(["synth", "--config", str(synth), "--out", str(data)]) == 0
+        assert main(["baseline", "--features", str(inputs["features"]),
+                     "--manifest", str(inputs["manifest"]), "--config", str(base_cfg),
+                     "--out", str(baseline)]) == 0
+        overrides = {}
+        if case == "rewritten_inputs":
+            assert main(["synth", "--config", str(synth), "--seed", "7", "--out", str(data)]) == 0
+        elif case == "older_baseline":
+            record = json.loads(baseline.read_text())
+            del record["inputs_crc32"], record["normalize"]
+            write_json(baseline, record)
+        else:
+            overrides["normalize"] = False
+        cfg = write_json(tmp_path / "sweep.json", sweep_config(inputs, **overrides))
+        out = tmp_path / "sweeps" / "results.jsonl"
+        assert main(["run", "--config", str(cfg), "--baseline", str(baseline),
+                     "--out", str(out)]) == 2
+        assert "run 'protostream baseline' again" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"methods": ["queue", "exstream"], "buffer_sizes": []},
+        {"methods": []}, {"orderings": []}, {"seeds": []},
+    ], ids=["bounded_without_sizes", "no_method", "no_ordering", "no_seed"])
+    def test_sweep_without_runs(self, workspace, tmp_path, capsys, overrides):
+        assert self.run_exit(workspace, tmp_path, **overrides) == 2
+        assert "sweep has no runs" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
     def test_unknown_method(self, workspace, tmp_path, capsys):
         cfg = write_json(tmp_path / "sweep.json",
                          sweep_config(workspace, methods=["lru"]))
@@ -663,3 +701,32 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as info:
             main(["run"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["synth", "baseline", "run", "report"])
+    def test_out_of_the_wrong_kind(self, workspace, tmp_path, capsys, command):
+        """An --out that is a file where a directory belongs (synth, report)
+        or a directory where a file belongs (baseline, run) is a usage error
+        that names it and leaves it as it was."""
+        taken_file, taken_dir = tmp_path / "taken.txt", tmp_path / "taken"
+        taken_file.write_text("keep\n")
+        taken_dir.mkdir()
+        base = str(workspace["baseline"])
+        argv = {
+            "synth": ["--config", str(write_json(tmp_path / "s.json", SYNTH)),
+                      "--out", str(taken_file)],
+            "baseline": ["--features", str(workspace["features"]),
+                         "--manifest", str(workspace["manifest"]),
+                         "--config", str(write_json(tmp_path / "b.json", {
+                             "dataset": "toy", "epochs": 1, "mlp": MLP})),
+                         "--out", str(taken_dir)],
+            "run": ["--config", str(write_json(tmp_path / "w.json", sweep_config(workspace))),
+                    "--baseline", base, "--out", str(taken_dir)],
+            "report": ["--results", str(craft_results(tmp_path / "r.jsonl",
+                                                      [("queue", 2, 0, [(30, 1.0)])])),
+                       "--baseline", base, "--out", str(taken_file)],
+        }[command]
+        assert main([command, *argv]) == 2
+        out = taken_file if command in ("synth", "report") else taken_dir
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert taken_file.read_text() == "keep\n" and not any(taken_dir.iterdir())

@@ -180,11 +180,24 @@ class TestRunStreaming:
         assert curve.times.tolist() == [150, 300, 400]
 
     def test_deterministic(self):
+        """A run repeats byte for byte in one process, the paper's learner
+        (three batch-norm layers, dropout, weight decay, batch 256) on a
+        class iid stream included, with an offline baseline trained between
+        the two runs as in a benchmark round."""
         ds = stream_dataset()
         cfg = stream_config("reservoir", 8)
         a = execute_run(ds, cfg).curve
         b = execute_run(ds, cfg).curve
         np.testing.assert_array_equal(a.values, b.values)
+        paper = dict(layer_sizes=(300, 150, 100), activation="relu", dropout_keep=0.5,
+                     weight_decay=0.005, learning_rate=0.03, batch_size=256)
+        for strategy, size in (("exstream", 4), ("no_buffer", 0)):
+            cfg = stream_config(strategy, size, eval_every=25, **paper)
+            first = execute_run(ds, cfg).curve
+            run_offline_baseline(ds, cfg, epochs=2)
+            again = execute_run(ds, cfg).curve
+            assert first.times.tobytes() == again.times.tobytes()
+            assert first.values.tobytes() == again.values.tobytes()
 
     def test_ordering_seed_changes_run(self):
         ds = stream_dataset()
