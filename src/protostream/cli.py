@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
@@ -23,7 +23,7 @@ from .buffers import BOUNDED_STRATEGIES
 from .data import (Dataset, StreamOrdering, SynthSpec, load_feature_matrix, load_manifest,
                    synth_gaussian, write_dataset)
 from .errors import DataFormatError, NumericError, UsageError, require_int
-from .metrics import OmegaResult, mu_total, omega_score
+from .metrics import mu_total, omega_score
 from .mlp import MLPClassifier, MLPConfig, fit_offline
 from .protocol import AccuracyCurve, RunConfig, execute_run
 
@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--config", required=True, help="JSON file of synthesis parameters")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="FEAT binary feature file")
     p.add_argument("--manifest", required=True, help="manifest CSV")
     p.add_argument("--config", required=True, help="JSON with mlp settings and epochs")
-    p.add_argument("--seed", type=int, help="override the learner seed")
     p.add_argument("--out", required=True, help="baseline JSON output path")
     p.set_defaults(func=cmd_baseline)
 
@@ -184,10 +182,7 @@ def _load_dataset(features_path, manifest_path, normalize, name=None) -> Dataset
 # -- synth ---------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    payload = _load_json(args.config, "synth config")
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    spec = _build(SynthSpec, payload, "synth config")
+    spec = _build(SynthSpec, _load_json(args.config, "synth config"), "synth config")
     dataset = synth_gaussian(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -205,10 +200,7 @@ def cmd_synth(args) -> int:
 def cmd_baseline(args) -> int:
     payload = _check_keys(_load_json(args.config, "baseline config"), BASELINE_KEYS,
                           "baseline config")
-    mlp_payload = _convert(dict, payload.get("mlp", {}), "mlp")
-    if args.seed is not None:
-        mlp_payload["seed"] = args.seed
-    config = _build(MLPConfig, mlp_payload, "mlp config")
+    config = _build(MLPConfig, _convert(dict, payload.get("mlp", {}), "mlp"), "mlp config")
     epochs = require_int(payload.get("epochs", 20), "epochs")
     normalize = _flag(payload, "normalize", True)
     name = str(payload["dataset"]) if "dataset" in payload else None
@@ -251,7 +243,7 @@ def cmd_run(args) -> int:
     normalize = _flag(sweep, "normalize", True)
     features, manifest = str(sweep["features"]), str(sweep["manifest"])
     dataset = _load_dataset(features, manifest, normalize, dataset_name)
-    # the inputs' bytes enter every run's config hash, not just their paths
+    # the inputs' bytes enter the sweep's config hash, not just their paths
     inputs_crc32 = _inputs_crc32(features, manifest)
 
     sizes = sweep.get("buffer_sizes")
@@ -261,29 +253,32 @@ def cmd_run(args) -> int:
     sizes = _ints(sizes, "buffer_sizes")
     mlp_payload = _convert(dict, sweep.get("mlp", {}), "mlp")
 
+    # the settings every run of the sweep shares; the run id fixes the rest
     common = {"dataset": dataset_name, "features": features, "manifest": manifest,
               "inputs_crc32": inputs_crc32, "normalize": normalize,
               "eval_every": sweep.get("eval_every", 1), "mlp": mlp_payload}
+    config_hash = _config_hash(common)
     # every run is configured, so checked, before the first one executes
-    tasks = []
+    tasks = {}
     for method in methods:
         for b in sizes if method in BOUNDED_STRATEGIES else [0]:
             for ordering in orderings:
                 for seed in seeds:
-                    task = {"run_id": f"{dataset_name}-{method}-b{b}-{ordering}-s{seed}",
-                            **common, "method": method, "buffer_size": b,
+                    run_id = f"{dataset_name}-{method}-b{b}-{ordering}-s{seed}"
+                    if run_id in tasks:
+                        raise UsageError(f"sweep lists run {run_id} more than once")
+                    task = {"run_id": run_id, **common, "method": method, "buffer_size": b,
                             "ordering": ordering, "seed": seed}
-                    tasks.append((task, _run_config(task)))
+                    tasks[run_id] = (task, _run_config(task))
     if not tasks:
         raise UsageError("sweep has no runs: it needs a method, an ordering and a seed, "
                          "and a buffer size for a bounded method")
 
+    # one log holds one configuration: any finished run of another stops the sweep
     out = Path(args.out)
     runs, intact = _read_log(out)
-    done = {run_id: run.terminal.get("config") for run_id, run in runs.items() if run.terminal}
-    for task, _ in tasks:
-        run_id = task["run_id"]
-        if run_id in done and done[run_id] != _config_hash(task):
+    for run_id, run in runs.items():
+        if run.terminal and run.terminal.get("config") != config_hash:
             raise UsageError(f"{out} holds a finished run {run_id} with another "
                              f"configuration; write this sweep to a new --out")
     # after the log's check: a log of other inputs needs a new --out whatever the baseline
@@ -295,22 +290,35 @@ def cmd_run(args) -> int:
     if out.exists() and out.stat().st_size > intact:
         print(f"dropping an unfinished write at the end of {out}", file=sys.stderr)
         os.truncate(out, intact)
-    pending = [(task, config) for task, config in tasks if task["run_id"] not in done]
+    pending = [pair for run_id, pair in tasks.items()
+               if run_id not in runs or not runs[run_id].terminal]
     # a pool starts all its workers at the first submit: never more than the runs
     workers = min(args.jobs, len(pending))
     where = f"{workers} worker processes" if workers > 1 else "this process"
     print(f"{len(tasks)} runs in sweep, {len(tasks) - len(pending)} already complete, "
           f"{len(pending)} to execute in {where}")
 
+    error = None
     with open(out, "a") as log:
         if workers <= 1:
             for task, config in pending:
-                _write_records(log, _execute_task(task, config))
+                _write_records(log, _execute_task(task, config, config_hash))
         else:
+            # at the first failure the runs not yet started are cancelled, and
+            # those executing finish and are written before the error stops `run`
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_execute_task, *pair) for pair in pending]
-                for future in as_completed(futures):
-                    _write_records(log, future.result())
+                running = {pool.submit(_execute_task, *pair, config_hash) for pair in pending}
+                while running:
+                    finished, running = wait(running, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        if future.exception() is None:
+                            _write_records(log, future.result())
+                        else:
+                            error = error or future.exception()
+                    if error:
+                        running = {future for future in running if not future.cancel()}
+    if error:
+        raise error
     return 0
 
 
@@ -380,10 +388,11 @@ def _read_log(path: Path) -> tuple[dict[str, _LoggedRun], int]:
     return runs, intact
 
 
-def _config_hash(task) -> str:
-    """CRC-32 of the task's canonical JSON, as 8 hex digits. Not hashlib:
-    importing it loads OpenSSL, about 3.5 MB of resident memory."""
-    return f"{zlib.crc32(json.dumps(task, sort_keys=True).encode()):08x}"
+def _config_hash(settings) -> str:
+    """CRC-32 of the sweep's shared settings as canonical JSON, as 8 hex
+    digits. Not hashlib: importing it loads OpenSSL, about 3.5 MB of
+    resident memory."""
+    return f"{zlib.crc32(json.dumps(settings, sort_keys=True).encode()):08x}"
 
 
 def _write_records(log, records):
@@ -408,13 +417,13 @@ def _run_config(task) -> RunConfig:
     )
 
 
-def _execute_task(task, config: RunConfig) -> list[dict]:
+def _execute_task(task, config: RunConfig, config_hash: str) -> list[dict]:
     dataset = _load_dataset(task["features"], task["manifest"],
                             task["normalize"], task["dataset"])
     result = execute_run(dataset, config)
     identity = {k: task[k] for k in ("run_id",) + RUN_FIELDS}
     records = [{**identity, "t": t, "accuracy": accuracy} for t, accuracy in result.curve.events]
-    return records + [{**identity, "config": _config_hash(task),
+    return records + [{**identity, "config": config_hash,
                        "wall_clock_s": result.wall_clock_s, "memory_cost": result.memory_cost}]
 
 
@@ -457,15 +466,15 @@ def cmd_report(args) -> int:
     # a row per size, its mean and spread over seeds; then mu over sizes per method
     table_rows, plot_rows, mu_rows = [], [], []
     for method_key, keys in groupby(sorted(omegas), key=lambda key: key[:3]):
-        per_size = []
+        per_size = {}
         for key in keys:
             values = np.array(omegas[key])
             mean = float(values.mean())
             row = (*method_key, str(key[3]), f"{mean:.3f}", f"{float(values.std()):.3f}")
             table_rows.append(row + (str(len(values)),))
             plot_rows.append(row)
-            per_size.append(OmegaResult(key[3], mean, 0))
-        mu_rows.append((*method_key, "mu_total", f"{mu_total(per_size).mu:.3f}", "", ""))
+            per_size[key[3]] = mean
+        mu_rows.append((*method_key, "mu_total", f"{mu_total(per_size):.3f}", "", ""))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

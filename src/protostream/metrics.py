@@ -5,6 +5,7 @@ never clamped."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,6 @@ class OmegaResult:
     num_events: int
 
 
-@dataclass(frozen=True)
-class MuTotalResult:
-    """Mean omega across distinct buffer sizes."""
-
-    buffer_sizes: tuple[int, ...]
-    mu: float
-
-
 def omega_score(stream_curve: AccuracyCurve, offline_curve: AccuracyCurve,
                 buffer_size: int = 0) -> OmegaResult:
     """Average the event-wise ratio stream/offline over the run.
@@ -45,13 +38,8 @@ def omega_score(stream_curve: AccuracyCurve, offline_curve: AccuracyCurve,
     return OmegaResult(int(buffer_size), float(ratios.mean()), stream_curve.num_events)
 
 
-def mu_total(omegas) -> MuTotalResult:
-    """Arithmetic mean of omega over distinct buffer sizes."""
-    omegas = list(omegas)
+def mu_total(omegas: Mapping[int, float]) -> float:
+    """Arithmetic mean of omega over buffer sizes, given {buffer size: omega}."""
     if not omegas:
-        raise UsageError("mu_total needs at least one omega result")
-    sizes = [o.buffer_size for o in omegas]
-    if len(set(sizes)) != len(sizes):
-        raise UsageError(f"duplicate buffer sizes in mu_total input: {sorted(sizes)}")
-    mu = float(np.mean([o.omega for o in omegas]))
-    return MuTotalResult(tuple(sorted(sizes)), mu)
+        raise UsageError("mu_total needs at least one omega")
+    return float(np.mean(list(omegas.values())))

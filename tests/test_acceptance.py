@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from protostream import (AccuracyCurve, MLPClassifier, MLPConfig, OmegaResult, RunConfig,
+from protostream import (AccuracyCurve, MLPClassifier, MLPConfig, RunConfig,
                          StreamOrdering, SynthSpec, assign_projected_dims,
                          execute_run, fit_offline, load_feature_matrix,
                          load_manifest, mu_total, omega_score,
@@ -296,7 +296,7 @@ def test_criterion_6_generous_budget_parity():
 def test_criterion_7_metric_exactness():
     curve = AccuracyCurve([10, 20, 30], [0.3, 0.6, 0.9])
     self_score = omega_score(curve, curve).omega
-    mu = mu_total([OmegaResult(2, 0.8, 3), OmegaResult(4, 1.0, 3)]).mu
+    mu = mu_total({2: 0.8, 4: 1.0})
     halved = omega_score(AccuracyCurve([10, 20], [0.4, 0.3]),
                          AccuracyCurve([10, 20], [0.8, 0.6])).omega
     ok = self_score == 1.0 and mu == 0.9 and halved == 0.5

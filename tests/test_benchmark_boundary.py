@@ -1,12 +1,16 @@
-"""The names the benchmark's tracer patches still exist and are still called.
+"""The names the benchmark's tracer patches still exist and are still called,
+and the command line still accepts the configs the benchmark writes.
 
 perfbench/tracing.py wraps functions and methods of the package by name
 (its TARGETS). A refactor that renames one, or routes the work around it,
-leaves the benchmark silently reading zeros; this test catches that.
+leaves the benchmark silently reading zeros; these tests catch that, and a
+change to the CLI's config schema that the benchmark's sweep would trip on.
 """
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,18 +21,19 @@ from protostream import (STRATEGIES, Dataset, LabeledSample, MLPConfig, RunConfi
                          StreamOrdering, SynthSpec, l2_normalize, omega_score, synth_gaussian)
 from protostream.buffers import ExStreamBuffer
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_target_resolves():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     for module_name, attr, _, _ in tracing.TARGETS:
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
@@ -37,7 +42,7 @@ def test_every_target_resolves():
 
 
 def test_streaming_and_offline_spans_are_recorded():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     ds = synth_gaussian(SynthSpec(3, 6, 12, 4, class_mean_separation=6.0, seed=0))
     config = RunConfig("exstream", 4, StreamOrdering("class_iid", 0),
                        MLPConfig(layer_sizes=(8,), learning_rate=0.1, batch_size=8),
@@ -56,7 +61,7 @@ def test_streaming_and_offline_spans_are_recorded():
 def test_rehearsal_steps_are_recorded_for_every_strategy(strategy):
     """Every sample's rehearsal pass is a protocol.rehearsal_update span
     holding its mlp.train_minibatch step (one: the batch exceeds the buffer)."""
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     ds = synth_gaussian(SynthSpec(3, 6, 12, 4, class_mean_separation=6.0, seed=0))
     config = RunConfig(strategy, 0 if strategy == "full" else 4, StreamOrdering("iid", 0),
                        MLPConfig(layer_sizes=(8,), learning_rate=0.1, batch_size=64),
@@ -96,3 +101,26 @@ def test_workload_call_shapes():
         store.insert(row, t)
     assert store.vectors().shape == (4, ds.dim) and store.counts().sum() == 6
     np.testing.assert_allclose(store.counts() @ store.vectors(), x[:6].sum(axis=0))
+
+
+def test_cli_accepts_the_benchmark_configs(tmp_path, monkeypatch):
+    """cli_sweep's round, shrunk to a tiny dataset, 1 epoch and 1 seed:
+    its synth, baseline and sweep configs keep the benchmark's keys, and
+    each command it runs in process (run with --jobs 1) must exit 0."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports checks
+    workloads = load_perfbench("workloads")
+
+    class TinySweep(workloads.CliSweep):
+        SYNTH = {**workloads.CliSweep.SYNTH, "num_classes": 2, "dim": 4,
+                 "samples_per_class_train": 10, "samples_per_class_test": 5,
+                 "instances_per_class": 2}
+        EPOCHS = 1
+        METHODS = ("exstream", "no_buffer")
+        SIZES = (2,)
+        ORDERINGS = ("iid",)
+
+    sweep = TinySweep("cli_sweep", 0, tmp_path)
+    sweep.seeds = [0]
+    rnd, (_, _, runs, _, log, report) = sweep.round(0, in_process=True)
+    assert {r["run_id"] for r in map(json.loads, log.read_text().splitlines())} == set(runs)
+    assert (report / "omega_table.csv").exists() and rnd.samples == 20 * len(runs)

@@ -2,11 +2,13 @@
 
 import csv
 import json
-from concurrent.futures import Future
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
-from protostream import cli
+from protostream import NumericError, cli
 from protostream.cli import main
 
 MLP = {"layer_sizes": [8], "learning_rate": 0.1, "batch_size": 16, "seed": 0}
@@ -69,10 +71,11 @@ class TestSynth:
         assert (tmp_path / "a/manifest.csv").read_bytes() == \
                (tmp_path / "b/manifest.csv").read_bytes()
 
-    def test_seed_override_changes_data(self, tmp_path):
+    def test_config_seed_changes_data(self, tmp_path):
         cfg = write_json(tmp_path / "s.json", SYNTH)
+        cfg7 = write_json(tmp_path / "s7.json", {**SYNTH, "seed": 7})
         main(["synth", "--config", str(cfg), "--out", str(tmp_path / "a")])
-        main(["synth", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "b")])
+        main(["synth", "--config", str(cfg7), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a/features.feat").read_bytes() != \
                (tmp_path / "b/features.feat").read_bytes()
 
@@ -93,10 +96,9 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "sigma" in capsys.readouterr().err
 
-    def test_negative_seed_flag(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "s.json", SYNTH)
-        code = main(["synth", "--config", str(cfg), "--seed", "-1",
-                     "--out", str(tmp_path / "o")])
+    def test_negative_config_seed(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "s.json", {**SYNTH, "seed": -1})
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -114,6 +116,7 @@ class TestBaseline:
         """A baseline after re-synthesizing into the same paths, in the same
         process, trains on the new files."""
         cfg = write_json(tmp_path / "s.json", SYNTH)
+        cfg7 = write_json(tmp_path / "s7.json", {**SYNTH, "seed": 7})
         base_cfg = write_json(tmp_path / "b.json", {"dataset": "toy", "epochs": 5, "mlp": MLP})
 
         def baseline(data, out):
@@ -125,9 +128,9 @@ class TestBaseline:
         data, fresh = tmp_path / "data", tmp_path / "fresh"
         main(["synth", "--config", str(cfg), "--out", str(data)])
         baseline(data, tmp_path / "seed0.json")
-        main(["synth", "--config", str(cfg), "--seed", "7", "--out", str(data)])
+        main(["synth", "--config", str(cfg7), "--out", str(data)])
         again = baseline(data, tmp_path / "seed7.json")
-        main(["synth", "--config", str(cfg), "--seed", "7", "--out", str(fresh)])
+        main(["synth", "--config", str(cfg7), "--out", str(fresh)])
         assert again == baseline(fresh, tmp_path / "fresh7.json")
 
     def baseline_exit(self, ws, tmp_path, payload):
@@ -154,23 +157,14 @@ class TestBaseline:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "base.json").exists()
 
-    def test_seed_override_recorded(self, workspace, tmp_path):
-        cfg = write_json(tmp_path / "b.json", {"dataset": "toy", "epochs": 1, "mlp": MLP})
-        out = tmp_path / "base.json"
-        assert main(["baseline",
-                     "--features", str(workspace["features"]),
-                     "--manifest", str(workspace["manifest"]),
-                     "--config", str(cfg), "--seed", "9",
-                     "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["seed"] == 9
+    def test_config_seed_recorded(self, workspace, tmp_path):
+        payload = {"dataset": "toy", "epochs": 1, "mlp": {**MLP, "seed": 9}}
+        assert self.baseline_exit(workspace, tmp_path, payload) == 0
+        assert json.loads((tmp_path / "base.json").read_text())["seed"] == 9
 
-    def test_negative_seed_flag(self, workspace, tmp_path, capsys):
-        cfg = write_json(tmp_path / "b.json", {"dataset": "toy", "epochs": 1, "mlp": MLP})
-        assert main(["baseline",
-                     "--features", str(workspace["features"]),
-                     "--manifest", str(workspace["manifest"]),
-                     "--config", str(cfg), "--seed", "-1",
-                     "--out", str(tmp_path / "base.json")]) == 2
+    def test_negative_config_seed(self, workspace, tmp_path, capsys):
+        payload = {"dataset": "toy", "epochs": 1, "mlp": {**MLP, "seed": -1}}
+        assert self.baseline_exit(workspace, tmp_path, payload) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "base.json").exists()
 
@@ -247,6 +241,70 @@ class TestRun:
         assert main(["run", "--config", sweep(0.1), "--baseline", base, "--out", str(out)]) == 2
         assert out.read_bytes() == stripped
 
+    @pytest.mark.parametrize("changed", [{"mlp": {**MLP, "layer_sizes": [16, 16]}},
+                                         {"eval_every": 20}], ids=["mlp", "eval_every"])
+    def test_one_configuration_per_log(self, workspace, tmp_path, capsys, changed):
+        """A sweep of another configuration is refused on a log holding any
+        finished run, though the two share no run id; a sweep of the same
+        configuration adds its new runs to the log."""
+        base, out = str(workspace["baseline"]), tmp_path / "results.jsonl"
+
+        def run(seed, **overrides):
+            cfg = write_json(tmp_path / "sweep.json", sweep_config(
+                workspace, methods=["queue"], seeds=[seed], buffer_sizes=[2], **overrides))
+            return main(["run", "--config", str(cfg), "--baseline", base, "--out", str(out)])
+
+        assert run(0) == 0
+        logged = out.read_bytes()
+        capsys.readouterr()
+        assert run(1, **changed) == 2
+        assert out.read_bytes() == logged
+        assert "finished run toy-queue-b2-iid-s0 with another configuration" in \
+            capsys.readouterr().err
+        assert run(1) == 0
+        assert {r["seed"] for r in read_jsonl(out) if "memory_cost" in r} == {0, 1}
+
+    @pytest.mark.parametrize("overrides", [
+        {"methods": ["queue", "queue"]}, {"seeds": [0, 0]}, {"buffer_sizes": [2, 2]},
+        {"orderings": ["iid", "iid"]},
+    ], ids=["method", "seed", "buffer_size", "ordering"])
+    def test_sweep_listing_a_run_twice(self, workspace, tmp_path, capsys, overrides):
+        payload = {"methods": ["queue"], "seeds": [0], "buffer_sizes": [2], **overrides}
+        assert self.run_exit(workspace, tmp_path, **payload) == 2
+        assert "sweep lists run toy-queue-b2-iid-s0 more than once" in capsys.readouterr().err
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_parallel_sweep_stops_at_its_first_failure(self, workspace, tmp_path, capsys,
+                                                       monkeypatch):
+        """With two workers, seed 0 fails while seed 1 executes: the runs not
+        yet started are cancelled, seed 1 is written, and `run` exits 4, as a
+        serial sweep stops at its first failure."""
+        started, second_started = [], threading.Event()
+        real_execute_run = cli.execute_run
+
+        def execute_run(dataset, config):
+            started.append(config.buffer_seed)
+            if config.buffer_seed == 0:
+                second_started.wait(5)
+                raise NumericError("loss is not finite")
+            second_started.set()
+            time.sleep(0.2)  # still executing when the failure is seen
+            return real_execute_run(dataset, config)
+
+        # threads share this process, so the patched execute_run is the one called
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(cli, "execute_run", execute_run)
+        cfg = write_json(tmp_path / "sweep.json", sweep_config(
+            workspace, methods=["queue"], seeds=list(range(6)), buffer_sizes=[2]))
+        out = tmp_path / "results.jsonl"
+        assert main(["run", "--config", str(cfg), "--baseline", str(workspace["baseline"]),
+                     "--jobs", "2", "--out", str(out)]) == 4
+        assert "numeric error: loss is not finite" in capsys.readouterr().err
+        # a worker freed by the failure may take seed 2 before it is cancelled
+        assert started[:2] == [0, 1] and set(started) <= {0, 1, 2}
+        finished = {r["seed"] for r in read_jsonl(out) if "memory_cost" in r}
+        assert finished == set(started) - {0}
+
     def test_resume_refuses_rewritten_inputs(self, workspace, tmp_path, capsys):
         """A sweep resumed after its input files were rewritten in place
         exits 2: one log never mixes runs on different data."""
@@ -263,7 +321,8 @@ class TestRun:
         assert main(["synth", "--config", str(synth), "--out", str(data)]) == 0
         assert run([0]) == 0
         first = out.read_bytes()
-        assert main(["synth", "--config", str(synth), "--seed", "7", "--out", str(data)]) == 0
+        synth7 = write_json(tmp_path / "synth7.json", {**SYNTH, "seed": 7})
+        assert main(["synth", "--config", str(synth7), "--out", str(data)]) == 0
         capsys.readouterr()
         assert run([0, 1]) == 2
         assert out.read_bytes() == first
@@ -418,7 +477,8 @@ class TestRun:
                      "--out", str(baseline)]) == 0
         overrides = {}
         if case == "rewritten_inputs":
-            assert main(["synth", "--config", str(synth), "--seed", "7", "--out", str(data)]) == 0
+            synth7 = write_json(tmp_path / "synth7.json", {**SYNTH, "seed": 7})
+            assert main(["synth", "--config", str(synth7), "--out", str(data)]) == 0
         elif case == "older_baseline":
             record = json.loads(baseline.read_text())
             del record["inputs_crc32"], record["normalize"]
@@ -701,6 +761,22 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as info:
             main(["run"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["synth", "baseline"])
+    def test_seeds_come_only_from_config_files(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["--config", str(write_json(tmp_path / "s.json", SYNTH))],
+            "baseline": ["--features", str(workspace["features"]),
+                         "--manifest", str(workspace["manifest"]),
+                         "--config", str(write_json(tmp_path / "b.json", {
+                             "dataset": "toy", "epochs": 1, "mlp": MLP}))],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv, "--seed", "7", "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "baseline", "run", "report"])
     def test_out_of_the_wrong_kind(self, workspace, tmp_path, capsys, command):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from protostream import (AccuracyCurve, DataFormatError, NumericError,
-                         OmegaResult, UsageError, mu_total, omega_score)
+from protostream import (AccuracyCurve, DataFormatError, NumericError, UsageError,
+                         mu_total, omega_score)
 
 
 def curve(values, times=None):
@@ -57,25 +57,11 @@ class TestOmegaScore:
 
 class TestMuTotal:
     def test_exact_mean(self):
-        result = mu_total([OmegaResult(2, 0.8, 4), OmegaResult(4, 1.0, 4)])
-        assert result.mu == 0.9
-        assert result.buffer_sizes == (2, 4)
+        assert mu_total({2: 0.8, 4: 1.0}) == 0.9
 
     def test_single_entry(self):
-        assert mu_total([OmegaResult(16, 0.75, 4)]).mu == 0.75
-
-    def test_sizes_reported_sorted(self):
-        result = mu_total([OmegaResult(8, 1.0, 1), OmegaResult(2, 1.0, 1)])
-        assert result.buffer_sizes == (2, 8)
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(UsageError, match="duplicate"):
-            mu_total([OmegaResult(2, 0.8, 4), OmegaResult(2, 1.0, 4)])
+        assert mu_total({16: 0.75}) == 0.75
 
     def test_rejects_empty(self):
         with pytest.raises(UsageError):
-            mu_total([])
-
-    def test_accepts_generator(self):
-        gen = (OmegaResult(b, 1.0, 2) for b in (2, 4, 8))
-        assert mu_total(gen).mu == 1.0
+            mu_total({})
