@@ -34,16 +34,17 @@ synth_cfg.write_text(json.dumps({
 stage(["synth", "--config", str(synth_cfg), "--out", str(work / "data")])
 
 # 2. train the offline reference model on the full train split
-mlp = {"layer_sizes": [32], "learning_rate": 0.1, "batch_size": 16, "seed": 0}
+mlp = {"layer_sizes": [32], "learning_rate": 0.1, "batch_size": 16}
 base_cfg = work / "baseline.json"
-base_cfg.write_text(json.dumps({"dataset": "demo", "epochs": 15, "mlp": mlp},
-                               indent=2))
+base_cfg.write_text(json.dumps({"dataset": "demo", "epochs": 15,
+                                "mlp": {**mlp, "seed": 0}}, indent=2))
 stage(["baseline",
        "--features", str(work / "data" / "features.feat"),
        "--manifest", str(work / "data" / "manifest.csv"),
        "--config", str(base_cfg), "--out", str(work / "baseline.json.out")])
 
-# 3. sweep three methods over two buffer sizes and two stream orders
+# 3. sweep three methods over two buffer sizes and two stream orders; each
+#    run's learner seed is its seed from "seeds", so the sweep's mlp has none
 sweep_cfg = work / "sweep.json"
 sweep_cfg.write_text(json.dumps({
     "dataset": "demo",

@@ -13,8 +13,7 @@ import os
 import sys
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +251,9 @@ def cmd_run(args) -> int:
                  else SMALL_LABEL_SET_SIZES)
     sizes = _ints(sizes, "buffer_sizes")
     mlp_payload = _convert(dict, sweep.get("mlp", {}), "mlp")
+    if "seed" in mlp_payload:
+        raise UsageError("sweep mlp takes no 'seed': each run's learner seed is its own, "
+                         "from 'seeds'")
 
     # the settings every run of the sweep shares; the run id fixes the rest
     common = {"dataset": dataset_name, "features": features, "manifest": manifest,
@@ -276,9 +278,9 @@ def cmd_run(args) -> int:
 
     # one log holds one configuration: any finished run of another stops the sweep
     out = Path(args.out)
-    runs, intact = _read_log(out)
-    for run_id, run in runs.items():
-        if run.terminal and run.terminal.get("config") != config_hash:
+    runs, _, intact = _read_log(out)
+    for run_id, (terminal, _) in runs.items():
+        if terminal.get("config") != config_hash:
             raise UsageError(f"{out} holds a finished run {run_id} with another "
                              f"configuration; write this sweep to a new --out")
     # after the log's check: a log of other inputs needs a new --out whatever the baseline
@@ -288,10 +290,9 @@ def cmd_run(args) -> int:
             f"with normalize {normalize}; run 'protostream baseline' again")
     out.parent.mkdir(parents=True, exist_ok=True)
     if out.exists() and out.stat().st_size > intact:
-        print(f"dropping an unfinished write at the end of {out}", file=sys.stderr)
+        print(f"dropping what follows the last finished run in {out}", file=sys.stderr)
         os.truncate(out, intact)
-    pending = [pair for run_id, pair in tasks.items()
-               if run_id not in runs or not runs[run_id].terminal]
+    pending = [pair for run_id, pair in tasks.items() if run_id not in runs]
     # a pool starts all its workers at the first submit: never more than the runs
     workers = min(args.jobs, len(pending))
     where = f"{workers} worker processes" if workers > 1 else "this process"
@@ -302,21 +303,29 @@ def cmd_run(args) -> int:
     with open(out, "a") as log:
         if workers <= 1:
             for task, config in pending:
-                _write_records(log, _execute_task(task, config, config_hash))
+                log.write(_execute_task(task, config, config_hash))
+                log.flush()
         else:
-            # at the first failure the runs not yet started are cancelled, and
-            # those executing finish and are written before the error stops `run`
+            # a run is handed over only to a free worker and only while no run
+            # has failed; those executing at a failure finish and are written
+            # before the error stops `run`
+            todo = iter(pending)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                running = {pool.submit(_execute_task, *pair, config_hash) for pair in pending}
+                def hand_over(n):
+                    return {pool.submit(_execute_task, *pair, config_hash)
+                            for pair in islice(todo, n)}
+
+                running = hand_over(workers)
                 while running:
                     finished, running = wait(running, return_when=FIRST_COMPLETED)
                     for future in finished:
+                        error = error or future.exception()
+                    if error is None:  # before the write: a free worker waits on it
+                        running |= hand_over(len(finished))
+                    for future in finished:
                         if future.exception() is None:
-                            _write_records(log, future.result())
-                        else:
-                            error = error or future.exception()
-                    if error:
-                        running = {future for future in running if not future.cancel()}
+                            log.write(future.result())
+                            log.flush()
     if error:
         raise error
     return 0
@@ -326,43 +335,41 @@ def _is_run_record(record) -> bool:
     """Whether a parsed results line holds every value ``run`` and
     ``report`` read, each of its type: run_id, dataset, method, ordering
     and (where present) config strings, buffer_size and seed integers, and
-    for an event (a record with ``t``) t an integer >= 1 and its accuracy a
-    number in [0, 1]."""
+    either ``memory_cost`` (a terminal record) or ``t`` (an event), with t
+    an integer >= 1 and its accuracy a number in [0, 1]."""
     if not (isinstance(record, dict) and record.keys() >= RECORD_KEYS):
         return False
     strings = [k for k in ("run_id", "dataset", "method", "ordering", "config") if k in record]
     integers = [k for k in ("buffer_size", "seed", "t") if k in record]
     return (all(type(record[k]) is str for k in strings)
             and all(type(record[k]) is int for k in integers)  # bool is not
+            and ("t" in record) != ("memory_cost" in record)
             and ("t" not in record
                  or (record["t"] >= 1 and _is_accuracy(record.get("accuracy")))))
 
 
-@dataclass
-class _LoggedRun:
-    """One run of a results log: its RUN_FIELDS, its events as {t: accuracy},
-    and its terminal record (None while it has none)."""
+def _read_log(path: Path) -> tuple[dict[str, tuple[dict, dict[int, float]]], int, int]:
+    """The finished runs of a results log, the number of its unfinished
+    runs, and the byte length of the log up to its last finished run.
 
-    meta: dict
-    events: dict[int, float] = field(default_factory=dict)
-    terminal: dict | None = None
+    A log is a list of finished runs: each is the unbroken block of one
+    run's event records, then that run's terminal record. The finished runs
+    come by run_id in the order they finished, each as its terminal record
+    and its events {t: accuracy}; within a block the last record of a t
+    wins. Event records anywhere else are left over from an execution that
+    did not finish and never count; a run that has them and no finished
+    block is unfinished. ``run`` cuts the log back to its last finished run
+    before it appends, and ``report`` scores the finished runs.
 
-
-def _read_log(path: Path) -> tuple[dict[str, _LoggedRun], int]:
-    """Each run of a results log by run_id, in order of first appearance,
-    and the byte length of the log's intact part (up to the end of its last
-    record); ``run`` resumes from it and ``report`` scores it.
-
-    Every record ends with a newline, so a last line without one is a
-    write cut short by a crash: it is skipped, and ``run`` cuts it off and
-    re-executes its run. A corrupt line anywhere else is an error, and so is
-    a line that is not a run record (``_is_run_record``). The last record of
-    a (run, t) wins, so a run re-executed after a partial write never counts
-    an event twice.
+    Every record ends with a newline, so a last line without one is a write
+    cut short by a crash and is skipped. A corrupt line anywhere else is an
+    error, and so is a line that is not a run record (``_is_run_record``),
+    or a terminal record with no event of its run just before it.
     """
-    runs, intact, end = {}, 0, 0
     if not path.exists():
-        return runs, intact
+        return {}, 0, 0
+    runs, started = {}, set()
+    run_id, events, intact, end = None, {}, 0, 0
     with open(path, "rb") as fh:
         for line in fh:
             if not line.endswith(b"\n"):
@@ -374,18 +381,19 @@ def _read_log(path: Path) -> tuple[dict[str, _LoggedRun], int]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}: corrupt results line: {exc}") from exc
-            if not _is_run_record(record):
+            if not _is_run_record(record) or ("t" not in record
+                                              and record["run_id"] != run_id):
                 text = line.decode(errors="replace").strip()[:200]
                 raise DataFormatError(f"{path}: not a run record: {text}")
-            intact = end
-            run = runs.get(record["run_id"])
-            if run is None:
-                run = runs[record["run_id"]] = _LoggedRun({k: record[k] for k in RUN_FIELDS})
-            if "t" in record:
-                run.events[record["t"]] = float(record["accuracy"])
-            if "memory_cost" in record:
-                run.terminal = record
-    return runs, intact
+            if "t" not in record:  # the terminal record closes its run's block
+                runs[run_id] = (record, events)
+                run_id, events, intact = None, {}, end
+            else:
+                if record["run_id"] != run_id:  # a new block; one before it never finished
+                    run_id, events = record["run_id"], {}
+                    started.add(run_id)
+                events[record["t"]] = float(record["accuracy"])
+    return runs, len(started - runs.keys()), intact
 
 
 def _config_hash(settings) -> str:
@@ -395,36 +403,32 @@ def _config_hash(settings) -> str:
     return f"{zlib.crc32(json.dumps(settings, sort_keys=True).encode()):08x}"
 
 
-def _write_records(log, records):
-    for record in records:
-        log.write(json.dumps(record, sort_keys=True) + "\n")
-    log.flush()
-
-
 def _run_config(task) -> RunConfig:
     """The run a task describes; its checks are the sweep's checks of
     method, ordering, capacity, eval_every and mlp."""
-    mlp_payload = dict(task["mlp"])
-    mlp_payload["seed"] = task["seed"]
     return RunConfig(
         strategy=task["method"],
         buffer_size=task["buffer_size"],
         ordering=StreamOrdering(task["ordering"], task["seed"]),
-        mlp=_build(MLPConfig, mlp_payload, "mlp config"),
+        mlp=_build(MLPConfig, {**task["mlp"], "seed": task["seed"]}, "mlp config"),
         eval_every=task["eval_every"],
         buffer_seed=task["seed"],
         dataset_name=task["dataset"],
     )
 
 
-def _execute_task(task, config: RunConfig, config_hash: str) -> list[dict]:
+def _execute_task(task, config: RunConfig, config_hash: str) -> str:
+    """One run's log lines, events then terminal record, encoded in the
+    worker: the parent's write stays short, so a free worker is handed its
+    next run at once."""
     dataset = _load_dataset(task["features"], task["manifest"],
                             task["normalize"], task["dataset"])
     result = execute_run(dataset, config)
     identity = {k: task[k] for k in ("run_id",) + RUN_FIELDS}
     records = [{**identity, "t": t, "accuracy": accuracy} for t, accuracy in result.curve.events]
-    return records + [{**identity, "config": config_hash,
-                       "wall_clock_s": result.wall_clock_s, "memory_cost": result.memory_cost}]
+    records.append({**identity, "config": config_hash,
+                    "wall_clock_s": result.wall_clock_s, "memory_cost": result.memory_cost})
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 # -- report ----------------------------------------------------------------
@@ -435,33 +439,27 @@ def cmd_report(args) -> int:
         raise UsageError(f"results file not found: {results_path}")
     baseline = _read_baseline(args.baseline)
 
-    runs, _ = _read_log(results_path)
-    if not any(run.events for run in runs.values()):
-        raise DataFormatError(f"{results_path}: no event records to report")
-    # a run without a terminal record is not scored: its curve may be cut short
-    unfinished = sum(1 for run in runs.values() if run.events and not run.terminal)
+    # an unfinished run is not scored: its curve may be cut short
+    runs, unfinished, _ = _read_log(results_path)
     if unfinished:
         print(f"skipped {unfinished} unfinished run(s) with no terminal record",
               file=sys.stderr)
+    if not runs:
+        raise DataFormatError(f"{results_path}: no run has finished")
 
     # omega per finished run against the baseline, by (dataset, ordering, method, size)
     omegas: dict[tuple, list[float]] = {}
-    for run_id, run in runs.items():
-        if not (run.events and run.terminal):
-            continue
-        meta = run.meta
+    for run_id, (meta, events) in runs.items():
         if meta["dataset"] != baseline["dataset"]:
             raise DataFormatError(
                 f"run {run_id} is for dataset {meta['dataset']!r} but the baseline "
                 f"covers {baseline['dataset']!r}")
-        times, values = map(np.array, zip(*sorted(run.events.items())))
+        times, values = map(np.array, zip(*sorted(events.items())))
         offline = AccuracyCurve(times, np.full(len(times), baseline["accuracy"]))
         score = omega_score(AccuracyCurve(times, values), offline,
                             buffer_size=meta["buffer_size"])
         key = (meta["dataset"], meta["ordering"], meta["method"], meta["buffer_size"])
         omegas.setdefault(key, []).append(score.omega)
-    if not omegas:
-        raise DataFormatError(f"{results_path}: no run has finished")
 
     # a row per size, its mean and spread over seeds; then mu over sizes per method
     table_rows, plot_rows, mu_rows = [], [], []

@@ -315,9 +315,11 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
     data = tmp_path / "data"
     assert main(["synth", "--config", str(synth_cfg), "--out", str(data)]) == 0
 
-    mlp = {"layer_sizes": [8], "learning_rate": 0.1, "batch_size": 16, "seed": 0}
+    # the sweep's mlp takes no seed: each run's learner seed is its run seed
+    mlp = {"layer_sizes": [8], "learning_rate": 0.1, "batch_size": 16}
     base_cfg = tmp_path / "baseline.json"
-    base_cfg.write_text(json.dumps({"dataset": "toy", "epochs": 5, "mlp": mlp}))
+    base_cfg.write_text(json.dumps({"dataset": "toy", "epochs": 5,
+                                    "mlp": {**mlp, "seed": 0}}))
     baseline = tmp_path / "baseline_out.json"
     assert main(["baseline", "--features", str(data / "features.feat"),
                  "--manifest", str(data / "manifest.csv"),

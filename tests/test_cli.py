@@ -12,6 +12,8 @@ from protostream import NumericError, cli
 from protostream.cli import main
 
 MLP = {"layer_sizes": [8], "learning_rate": 0.1, "batch_size": 16, "seed": 0}
+# a sweep's learner seed is each run's seed, so its mlp takes none
+SWEEP_MLP = {k: v for k, v in MLP.items() if k != "seed"}
 
 SYNTH = {"num_classes": 2, "dim": 4, "samples_per_class_train": 30,
          "samples_per_class_test": 10, "instances_per_class": 3,
@@ -52,7 +54,7 @@ def sweep_config(ws, **overrides):
                "seeds": [0, 1],
                "buffer_sizes": [2, 4],
                "eval_every": 30,
-               "mlp": MLP}
+               "mlp": SWEEP_MLP}
     payload.update(overrides)
     return payload
 
@@ -225,7 +227,7 @@ class TestRun:
         def sweep(lr):
             return str(write_json(tmp_path / f"sweep-{lr}.json", sweep_config(
                 workspace, methods=["queue"], seeds=[0], buffer_sizes=[2],
-                mlp={**MLP, "learning_rate": lr})))
+                mlp={**SWEEP_MLP, "learning_rate": lr})))
 
         assert main(["run", "--config", sweep(0.1), "--baseline", base, "--out", str(out)]) == 0
         first = out.read_bytes()
@@ -241,7 +243,7 @@ class TestRun:
         assert main(["run", "--config", sweep(0.1), "--baseline", base, "--out", str(out)]) == 2
         assert out.read_bytes() == stripped
 
-    @pytest.mark.parametrize("changed", [{"mlp": {**MLP, "layer_sizes": [16, 16]}},
+    @pytest.mark.parametrize("changed", [{"mlp": {**SWEEP_MLP, "layer_sizes": [16, 16]}},
                                          {"eval_every": 20}], ids=["mlp", "eval_every"])
     def test_one_configuration_per_log(self, workspace, tmp_path, capsys, changed):
         """A sweep of another configuration is refused on a log holding any
@@ -276,8 +278,8 @@ class TestRun:
 
     def test_parallel_sweep_stops_at_its_first_failure(self, workspace, tmp_path, capsys,
                                                        monkeypatch):
-        """With two workers, seed 0 fails while seed 1 executes: the runs not
-        yet started are cancelled, seed 1 is written, and `run` exits 4, as a
+        """With two workers, seed 0 fails while seed 1 executes: no further
+        run is handed to a worker, seed 1 is written, and `run` exits 4, as a
         serial sweep stops at its first failure."""
         started, second_started = [], threading.Event()
         real_execute_run = cli.execute_run
@@ -300,10 +302,32 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--baseline", str(workspace["baseline"]),
                      "--jobs", "2", "--out", str(out)]) == 4
         assert "numeric error: loss is not finite" in capsys.readouterr().err
-        # a worker freed by the failure may take seed 2 before it is cancelled
-        assert started[:2] == [0, 1] and set(started) <= {0, 1, 2}
-        finished = {r["seed"] for r in read_jsonl(out) if "memory_cost" in r}
-        assert finished == set(started) - {0}
+        assert started == [0, 1]
+        assert {r["seed"] for r in read_jsonl(out) if "memory_cost" in r} == {1}
+
+    def test_resume_after_a_cut_inside_the_first_run(self, workspace, tmp_path, capsys):
+        """A sweep cut inside its first run's event lines and resumed with
+        another eval_every logs what a fresh sweep logs: the cut run's
+        events never join the new run's curve."""
+        base = str(workspace["baseline"])
+
+        def run(out, eval_every):
+            cfg = write_json(tmp_path / "sweep.json", sweep_config(
+                workspace, methods=["queue"], seeds=[0], buffer_sizes=[2],
+                eval_every=eval_every))
+            assert main(["run", "--config", str(cfg), "--baseline", base,
+                         "--out", str(out)]) == 0
+            return [{k: v for k, v in r.items() if k != "wall_clock_s"}
+                    for r in read_jsonl(out)]
+
+        out = tmp_path / "results.jsonl"
+        run(out, 1)
+        data = out.read_bytes()
+        out.write_bytes(data[:data.index(b"\n", len(data) // 2) - 5])
+        capsys.readouterr()
+        assert run(out, 20) == run(tmp_path / "fresh.jsonl", 20)
+        assert f"dropping what follows the last finished run in {out}" in \
+            capsys.readouterr().err
 
     def test_resume_refuses_rewritten_inputs(self, workspace, tmp_path, capsys):
         """A sweep resumed after its input files were rewritten in place
@@ -546,26 +570,27 @@ class TestRun:
     @pytest.mark.parametrize("key, value, named", [
         ("seeds", ["zero"], "seeds"),
         ("eval_every", "often", "eval_every"),
-        ("mlp", {**MLP, "layer_sizes": ["a"]}, "mlp config"),
+        ("mlp", {**SWEEP_MLP, "layer_sizes": ["a"]}, "mlp config"),
         ("features", 5, "features"),
         ("normalize", "false", "normalize"),
         ("buffer_sizes", [2.7], "buffer_sizes"),
         ("buffer_sizes", [True], "buffer_sizes"),
         ("seeds", [True], "seeds"),
         ("eval_every", 2.5, "eval_every"),
-        ("mlp", {**MLP, "batch_size": 2.5}, "batch_size"),
-        ("mlp", {**MLP, "layer_sizes": [2.7]}, "layer_sizes"),
-        ("mlp", {**MLP, "learning_rate": float("nan")}, "learning_rate"),
-        ("mlp", {**MLP, "learning_rate": "0.1"}, "learning_rate"),
-        ("mlp", {**MLP, "weight_decay": float("inf")}, "weight_decay"),
-        ("mlp", {**MLP, "dropout_keep": True}, "dropout_keep"),
+        ("mlp", {**SWEEP_MLP, "batch_size": 2.5}, "batch_size"),
+        ("mlp", {**SWEEP_MLP, "layer_sizes": [2.7]}, "layer_sizes"),
+        ("mlp", {**SWEEP_MLP, "learning_rate": float("nan")}, "learning_rate"),
+        ("mlp", {**SWEEP_MLP, "learning_rate": "0.1"}, "learning_rate"),
+        ("mlp", {**SWEEP_MLP, "weight_decay": float("inf")}, "weight_decay"),
+        ("mlp", {**SWEEP_MLP, "dropout_keep": True}, "dropout_keep"),
+        ("mlp", MLP, "sweep mlp takes no 'seed'"),
         ("seeds", [0, -1], "seed"),
         ("buffer_sizes", [2, 0], "queue needs capacity >= 1, got buffer_size 0"),
     ], ids=["seeds", "eval_every", "layer_sizes", "features", "normalize_string",
             "buffer_size_fraction", "buffer_size_bool", "seed_bool",
             "eval_every_fraction", "batch_size_fraction", "layer_size_fraction",
             "learning_rate_nan", "learning_rate_string", "weight_decay_inf",
-            "dropout_keep_bool", "seed_negative", "buffer_size_zero"])
+            "dropout_keep_bool", "mlp_seed", "seed_negative", "buffer_size_zero"])
     def test_malformed_sweep_value(self, workspace, tmp_path, capsys, key, value, named):
         assert self.run_exit(workspace, tmp_path, **{key: value}) == 2
         assert named in capsys.readouterr().err
@@ -730,16 +755,22 @@ class TestReport:
         {**RUN_RECORD, "buffer_size": "two", "t": 60, "accuracy": 0.5},
         {**RUN_RECORD, "seed": True, "t": 60, "accuracy": 0.5},
         {**RUN_RECORD, "method": 3, "t": 60, "accuracy": 0.5},
-        {**RUN_RECORD, "config": 7, "wall_clock_s": 0.1, "memory_cost": 4},
+        {**RUN_RECORD, "config": 7, "t": 60, "accuracy": 0.5},
+        {**RUN_RECORD, "wall_clock_s": 0.1, "memory_cost": 4},
+        # a tuple is several lines: a bare record after an event of its run
+        ({**RUN_RECORD, "t": 60, "accuracy": 0.5}, RUN_RECORD),
+        {**RUN_RECORD, "t": 60, "accuracy": 0.5, "memory_cost": 4},
     ], ids=["no_run_fields", "not_an_object", "event_without_accuracy", "accuracy_null",
             "accuracy_string", "accuracy_nan", "accuracy_above_one", "t_string", "t_zero",
             "t_fraction", "buffer_size_string", "seed_bool", "method_number",
-            "config_number"])
+            "config_number", "terminal_without_events", "neither_event_nor_terminal",
+            "event_and_terminal"])
     def test_malformed_record(self, tmp_path, capsys, line):
         code, out = self.run_report(tmp_path, [("queue", 2, 0, [(30, 1.0)])])
         assert code == 0
         results = tmp_path / "results.jsonl"
-        results.write_text(results.read_text() + json.dumps(line) + "\n")
+        lines = line if isinstance(line, tuple) else (line,)
+        results.write_text(results.read_text() + "".join(json.dumps(x) + "\n" for x in lines))
         assert main(["report", "--results", str(results), "--baseline",
                      str(tmp_path / "base.json"), "--out", str(out)]) == 3
         assert "not a run record" in capsys.readouterr().err
