@@ -1,7 +1,7 @@
 """Command line entry points: synthesize datasets, train the offline
 baseline, sweep streaming runs into a JSONL log, and report omega/mu CSVs.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric error.
+Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric error or failed run.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import json
 import os
 import sys
 import zlib
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from itertools import groupby, islice
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -269,9 +270,10 @@ def cmd_run(args) -> int:
                     run_id = f"{dataset_name}-{method}-b{b}-{ordering}-s{seed}"
                     if run_id in tasks:
                         raise UsageError(f"sweep lists run {run_id} more than once")
-                    task = {"run_id": run_id, **common, "method": method, "buffer_size": b,
-                            "ordering": ordering, "seed": seed}
-                    tasks[run_id] = (task, _run_config(task))
+                    task = {"run_id": run_id, **common, "config": config_hash, "method": method,
+                            "buffer_size": b, "ordering": ordering, "seed": seed}
+                    _run_config(task)
+                    tasks[run_id] = task
     if not tasks:
         raise UsageError("sweep has no runs: it needs a method, an ordering and a seed, "
                          "and a buffer size for a bounded method")
@@ -292,42 +294,26 @@ def cmd_run(args) -> int:
     if out.exists() and out.stat().st_size > intact:
         print(f"dropping what follows the last finished run in {out}", file=sys.stderr)
         os.truncate(out, intact)
-    pending = [pair for run_id, pair in tasks.items() if run_id not in runs]
+    pending = [task for run_id, task in tasks.items() if run_id not in runs]
+    failed = sum("error" in runs[run_id][0] for run_id in tasks.keys() & runs.keys())
     # a pool starts all its workers at the first submit: never more than the runs
     workers = min(args.jobs, len(pending))
     where = f"{workers} worker processes" if workers > 1 else "this process"
-    print(f"{len(tasks)} runs in sweep, {len(tasks) - len(pending)} already complete, "
-          f"{len(pending)} to execute in {where}")
+    print(f"{len(tasks)} runs in sweep, {len(tasks) - len(pending)} already complete "
+          f"({failed} failed), {len(pending)} to execute in {where}")
 
-    error = None
-    with open(out, "a") as log:
-        if workers <= 1:
-            for task, config in pending:
-                log.write(_execute_task(task, config, config_hash))
-                log.flush()
-        else:
-            # a run is handed over only to a free worker and only while no run
-            # has failed; those executing at a failure finish and are written
-            # before the error stops `run`
-            todo = iter(pending)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                def hand_over(n):
-                    return {pool.submit(_execute_task, *pair, config_hash)
-                            for pair in islice(todo, n)}
-
-                running = hand_over(workers)
-                while running:
-                    finished, running = wait(running, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        error = error or future.exception()
-                    if error is None:  # before the write: a free worker waits on it
-                        running |= hand_over(len(finished))
-                    for future in finished:
-                        if future.exception() is None:
-                            log.write(future.result())
-                            log.flush()
-    if error:
-        raise error
+    # serial or parallel, the runs are written in sweep order
+    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool, \
+            open(out, "a") as log:
+        for lines, error in (pool.map if pool else map)(_execute_task, pending):
+            log.write(lines)
+            log.flush()
+            if error:
+                failed += 1
+                print(error, file=sys.stderr)
+    if failed:
+        raise NumericError(f"{failed} of the sweep's {len(tasks)} runs failed; "
+                           f"their records in {out} hold the errors")
     return 0
 
 
@@ -335,36 +321,40 @@ def _is_run_record(record) -> bool:
     """Whether a parsed results line holds every value ``run`` and
     ``report`` read, each of its type: run_id, dataset, method, ordering
     and (where present) config strings, buffer_size and seed integers, and
-    either ``memory_cost`` (a terminal record) or ``t`` (an event), with t
-    an integer >= 1 and its accuracy a number in [0, 1]."""
+    exactly one of ``t`` (an event), ``memory_cost`` (a finished run) or
+    ``error`` (a failed run; a string), with t an integer >= 1 and its
+    accuracy a number in [0, 1]."""
     if not (isinstance(record, dict) and record.keys() >= RECORD_KEYS):
         return False
-    strings = [k for k in ("run_id", "dataset", "method", "ordering", "config") if k in record]
+    strings = [k for k in ("run_id", "dataset", "method", "ordering", "config", "error")
+               if k in record]
     integers = [k for k in ("buffer_size", "seed", "t") if k in record]
     return (all(type(record[k]) is str for k in strings)
             and all(type(record[k]) is int for k in integers)  # bool is not
-            and ("t" in record) != ("memory_cost" in record)
+            and sum(k in record for k in ("t", "memory_cost", "error")) == 1
             and ("t" not in record
                  or (record["t"] >= 1 and _is_accuracy(record.get("accuracy")))))
 
 
 def _read_log(path: Path) -> tuple[dict[str, tuple[dict, dict[int, float]]], int, int]:
-    """The finished runs of a results log, the number of its unfinished
-    runs, and the byte length of the log up to its last finished run.
+    """The done runs of a results log, the number of its unfinished runs,
+    and the byte length of the log up to its last done run.
 
-    A log is a list of finished runs: each is the unbroken block of one
-    run's event records, then that run's terminal record. The finished runs
-    come by run_id in the order they finished, each as its terminal record
-    and its events {t: accuracy}; within a block the last record of a t
-    wins. Event records anywhere else are left over from an execution that
-    did not finish and never count; a run that has them and no finished
-    block is unfinished. ``run`` cuts the log back to its last finished run
-    before it appends, and ``report`` scores the finished runs.
+    A log is a list of done runs. A finished run is the unbroken block of
+    one run's event records, then its terminal record (``memory_cost``); a
+    failed run is one terminal record (``error``) and no events. The done
+    runs come by run_id in the order they were written, each as its
+    terminal record and its events {t: accuracy}; within a block the last
+    record of a t wins. Event records anywhere else are left over from an
+    execution that did not finish and never count; a run that has them and
+    no terminal record is unfinished. ``run`` cuts the log back to its last
+    done run before it appends and executes no done run again, not even a
+    failed one, and ``report`` scores the finished runs.
 
     Every record ends with a newline, so a last line without one is a write
     cut short by a crash and is skipped. A corrupt line anywhere else is an
     error, and so is a line that is not a run record (``_is_run_record``),
-    or a terminal record with no event of its run just before it.
+    or a ``memory_cost`` record with no event of its run just before it.
     """
     if not path.exists():
         return {}, 0, 0
@@ -381,12 +371,12 @@ def _read_log(path: Path) -> tuple[dict[str, tuple[dict, dict[int, float]]], int
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}: corrupt results line: {exc}") from exc
-            if not _is_run_record(record) or ("t" not in record
+            if not _is_run_record(record) or ("memory_cost" in record
                                               and record["run_id"] != run_id):
                 text = line.decode(errors="replace").strip()[:200]
                 raise DataFormatError(f"{path}: not a run record: {text}")
-            if "t" not in record:  # the terminal record closes its run's block
-                runs[run_id] = (record, events)
+            if "t" not in record:  # a terminal record closes its run
+                runs[record["run_id"]] = (record, events if "memory_cost" in record else {})
                 run_id, events, intact = None, {}, end
             else:
                 if record["run_id"] != run_id:  # a new block; one before it never finished
@@ -417,18 +407,25 @@ def _run_config(task) -> RunConfig:
     )
 
 
-def _execute_task(task, config: RunConfig, config_hash: str) -> str:
-    """One run's log lines, events then terminal record, encoded in the
-    worker: the parent's write stays short, so a free worker is handed its
-    next run at once."""
+def _execute_task(task) -> tuple[str, str | None]:
+    """One run's log lines, encoded in the worker so the parent's write
+    stays short, and what to say if it failed: its events then its terminal
+    record, or, if it raised NumericError, one failed record holding the
+    message as ``error``. A terminal record names the inputs, as ``report``
+    matches them against the baseline's."""
     dataset = _load_dataset(task["features"], task["manifest"],
                             task["normalize"], task["dataset"])
-    result = execute_run(dataset, config)
     identity = {k: task[k] for k in ("run_id",) + RUN_FIELDS}
+    terminal = {**identity, **{k: task[k] for k in ("config", "inputs_crc32", "normalize")}}
+    try:
+        result = execute_run(dataset, _run_config(task))
+    except NumericError as exc:
+        record = json.dumps({**terminal, "error": str(exc)}, sort_keys=True)
+        return record + "\n", f"run {task['run_id']} failed: {exc}"
     records = [{**identity, "t": t, "accuracy": accuracy} for t, accuracy in result.curve.events]
-    records.append({**identity, "config": config_hash,
-                    "wall_clock_s": result.wall_clock_s, "memory_cost": result.memory_cost})
-    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    records.append({**terminal, "wall_clock_s": result.wall_clock_s,
+                    "memory_cost": result.memory_cost})
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records), None
 
 
 # -- report ----------------------------------------------------------------
@@ -439,21 +436,23 @@ def cmd_report(args) -> int:
         raise UsageError(f"results file not found: {results_path}")
     baseline = _read_baseline(args.baseline)
 
-    # an unfinished run is not scored: its curve may be cut short
+    # an unfinished or failed run is not scored: its curve is cut short or absent
     runs, unfinished, _ = _read_log(results_path)
+    finished = {run_id: run for run_id, run in runs.items() if "error" not in run[0]}
     if unfinished:
-        print(f"skipped {unfinished} unfinished run(s) with no terminal record",
-              file=sys.stderr)
-    if not runs:
+        print(f"skipped {unfinished} unfinished run(s) with no terminal record", file=sys.stderr)
+    if len(runs) > len(finished):
+        print(f"skipped {len(runs) - len(finished)} failed run(s)", file=sys.stderr)
+    if not finished:
         raise DataFormatError(f"{results_path}: no run has finished")
 
     # omega per finished run against the baseline, by (dataset, ordering, method, size)
+    bound = ("dataset", "inputs_crc32", "normalize")
     omegas: dict[tuple, list[float]] = {}
-    for run_id, (meta, events) in runs.items():
-        if meta["dataset"] != baseline["dataset"]:
-            raise DataFormatError(
-                f"run {run_id} is for dataset {meta['dataset']!r} but the baseline "
-                f"covers {baseline['dataset']!r}")
+    for run_id, (meta, events) in finished.items():
+        if any(meta.get(k) is None or meta.get(k) != baseline.get(k) for k in bound):
+            raise DataFormatError(f"run {run_id} and baseline {args.baseline} differ in "
+                                  f"dataset, inputs_crc32 or normalize")
         times, values = map(np.array, zip(*sorted(events.items())))
         offline = AccuracyCurve(times, np.full(len(times), baseline["accuracy"]))
         score = omega_score(AccuracyCurve(times, values), offline,

@@ -306,7 +306,8 @@ def test_criterion_7_metric_exactness():
 
 def test_criterion_8_end_to_end_determinism(tmp_path):
     """The same sweep executed twice (serial, then two worker processes)
-    reports byte-identical CSV tables."""
+    logs the same records in the same order, apart from wall-clock times,
+    and reports byte-identical CSV tables."""
     synth_cfg = tmp_path / "synth.json"
     synth_cfg.write_text(json.dumps({
         "num_classes": 2, "dim": 4, "samples_per_class_train": 30,
@@ -333,7 +334,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
         "orderings": ["iid", "class_iid"], "seeds": [0, 1],
         "buffer_sizes": [2, 4], "eval_every": 30, "mlp": mlp}))
 
-    tables = []
+    tables, logs = [], []
     for tag, jobs in (("serial", 1), ("parallel", 2)):
         results = tmp_path / f"results_{tag}.jsonl"
         report = tmp_path / f"report_{tag}"
@@ -343,9 +344,11 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
                      "--baseline", str(baseline), "--out", str(report)]) == 0
         tables.append(((report / "omega_table.csv").read_bytes(),
                        (report / "plot_data.csv").read_bytes()))
-    ok = tables[0] == tables[1]
+        logs.append([{k: v for k, v in json.loads(line).items() if k != "wall_clock_s"}
+                     for line in results.read_text().splitlines()])
+    ok = tables[0] == tables[1] and logs[0] == logs[1]
     verdict(8, "end-to-end determinism", ok,
-            "serial and 2-process sweeps reported identical bytes")
+            "serial and 2-process sweeps logged the same records and reported identical bytes")
 
 
 @pytest.mark.skipif("PROTOSTREAM_TEST_FEATURES" not in os.environ,

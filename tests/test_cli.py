@@ -2,9 +2,7 @@
 
 import csv
 import json
-import threading
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -276,34 +274,47 @@ class TestRun:
         assert "sweep lists run toy-queue-b2-iid-s0 more than once" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
-    def test_parallel_sweep_stops_at_its_first_failure(self, workspace, tmp_path, capsys,
-                                                       monkeypatch):
-        """With two workers, seed 0 fails while seed 1 executes: no further
-        run is handed to a worker, seed 1 is written, and `run` exits 4, as a
-        serial sweep stops at its first failure."""
-        started, second_started = [], threading.Event()
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failed_run_is_a_record(self, workspace, tmp_path, capsys, monkeypatch, jobs):
+        """Seed 0 fails: `run` writes its failed record and every other run,
+        in sweep order, and exits 4; a second `run` executes nothing and
+        exits 4 again; `report` scores the other runs and skips the failed one."""
+        executed = []
         real_execute_run = cli.execute_run
 
         def execute_run(dataset, config):
-            started.append(config.buffer_seed)
+            executed.append(config.buffer_seed)
             if config.buffer_seed == 0:
-                second_started.wait(5)
                 raise NumericError("loss is not finite")
-            second_started.set()
-            time.sleep(0.2)  # still executing when the failure is seen
             return real_execute_run(dataset, config)
 
         # threads share this process, so the patched execute_run is the one called
         monkeypatch.setattr(cli, "ProcessPoolExecutor", ThreadPoolExecutor)
         monkeypatch.setattr(cli, "execute_run", execute_run)
-        cfg = write_json(tmp_path / "sweep.json", sweep_config(
-            workspace, methods=["queue"], seeds=list(range(6)), buffer_sizes=[2]))
-        out = tmp_path / "results.jsonl"
-        assert main(["run", "--config", str(cfg), "--baseline", str(workspace["baseline"]),
-                     "--jobs", "2", "--out", str(out)]) == 4
-        assert "numeric error: loss is not finite" in capsys.readouterr().err
-        assert started == [0, 1]
-        assert {r["seed"] for r in read_jsonl(out) if "memory_cost" in r} == {1}
+        cfg = str(write_json(tmp_path / "sweep.json", sweep_config(
+            workspace, methods=["queue"], seeds=[0, 1, 2], buffer_sizes=[2])))
+        base, out = str(workspace["baseline"]), tmp_path / "results.jsonl"
+        argv = ["run", "--config", cfg, "--baseline", base, "--jobs", jobs, "--out", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "run toy-queue-b2-iid-s0 failed: loss is not finite" in err
+        assert "numeric error: 1 of the sweep's 3 runs failed" in err
+        records = read_jsonl(out)
+        assert [r["seed"] for r in records if "t" not in r] == [0, 1, 2]
+        failed = [r for r in records if "error" in r]
+        assert len(failed) == 1 and failed[0]["error"] == "loss is not finite"
+        assert failed[0]["run_id"] == "toy-queue-b2-iid-s0" and "memory_cost" not in failed[0]
+        logged = out.read_bytes()
+        executed.clear()
+        assert main(argv) == 4
+        assert executed == [] and out.read_bytes() == logged
+        assert "3 already complete (1 failed), 0 to execute" in capsys.readouterr().out
+        report = tmp_path / "report"
+        assert main(["report", "--results", str(out), "--baseline", base,
+                     "--out", str(report)]) == 0
+        assert capsys.readouterr().err == "skipped 1 failed run(s)\n"
+        with open(report / "omega_table.csv", newline="") as fh:
+            assert next(csv.DictReader(fh))["seeds"] == "2"
 
     def test_resume_after_a_cut_inside_the_first_run(self, workspace, tmp_path, capsys):
         """A sweep cut inside its first run's event lines and resumed with
@@ -416,7 +427,7 @@ class TestRun:
         assert report("before") == ("2", "skipped 1 unfinished run(s) with no terminal record\n")
         logged = out.read_bytes()
         assert main(["run", "--config", str(cfg), "--baseline", base, "--out", str(out)]) == 0
-        assert "2 already complete, 1 to execute" in capsys.readouterr().out
+        assert "2 already complete (0 failed), 1 to execute" in capsys.readouterr().out
         appended = read_jsonl(out)[len(records):]
         assert out.read_bytes().startswith(logged)
         assert {r["run_id"] for r in appended} == {"toy-queue-b2-iid-s1"}
@@ -445,10 +456,8 @@ class TestRun:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, iterable):
+                return map(fn, iterable)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
         cfg = str(write_json(tmp_path / "sweep.json", sweep_config(
@@ -610,6 +619,8 @@ class TestRun:
 
 RUN_RECORD = {"run_id": "toy-queue-b2-iid-s0", "dataset": "toy", "method": "queue",
               "buffer_size": 2, "ordering": "iid", "seed": 0}
+# what a terminal record and its baseline say the run was trained on
+INPUTS = {"inputs_crc32": ["0badf00d", "0badf00d"], "normalize": True}
 
 
 def event(run_id, meta, t, accuracy):
@@ -617,7 +628,7 @@ def event(run_id, meta, t, accuracy):
 
 
 def terminal(run_id, meta, cost=4):
-    return json.dumps({"run_id": run_id, **meta,
+    return json.dumps({"run_id": run_id, **meta, **INPUTS,
                        "wall_clock_s": 0.1, "memory_cost": cost})
 
 
@@ -642,7 +653,7 @@ class TestReport:
         results = craft_results(tmp_path / "results.jsonl", rows, unfinished)
         base = write_json(tmp_path / "base.json",
                           baseline or {"dataset": "toy", "accuracy": 1.0,
-                                       "seed": 0, "epochs": 1})
+                                       "seed": 0, "epochs": 1, **INPUTS})
         out = tmp_path / "report"
         code = main(["report", "--results", str(results),
                      "--baseline", str(base), "--out", str(out)])
@@ -733,13 +744,33 @@ class TestReport:
             assert code == 3, baseline
             assert not (out / "omega_table.csv").exists()
         # a well-formed accuracy of 0 leaves omega undefined: a numeric error
-        assert self.run_report(tmp_path, rows, {"dataset": "toy", "accuracy": 0})[0] == 4
+        assert self.run_report(tmp_path, rows, {"dataset": "toy", "accuracy": 0,
+                                                **INPUTS})[0] == 4
 
     def test_dataset_mismatch(self, tmp_path):
         rows = [("queue", 2, 0, [(30, 1.0)])]
-        baseline = {"dataset": "other", "accuracy": 1.0}
+        baseline = {"dataset": "other", "accuracy": 1.0, **INPUTS}
         code, _ = self.run_report(tmp_path, rows, baseline)
         assert code == 3
+
+    @pytest.mark.parametrize("record_inputs, baseline_inputs", [
+        (INPUTS, {**INPUTS, "inputs_crc32": ["0badf00d", "00000000"]}),
+        (INPUTS, {**INPUTS, "normalize": False}),
+        ({}, INPUTS),
+        ({}, {}),
+    ], ids=["inputs_crc32", "normalize", "older_record", "older_record_and_baseline"])
+    def test_baseline_of_other_inputs(self, tmp_path, capsys, record_inputs, baseline_inputs):
+        """A run is scored only against a baseline of the same dataset name,
+        input bytes and normalization; a terminal record written by an
+        earlier version names no inputs and is scored against no baseline."""
+        results = tmp_path / "results.jsonl"
+        results.write_text(event(RUN_RECORD["run_id"], RUN_RECORD, 30, 1.0) + "\n" + json.dumps(
+            {**RUN_RECORD, **record_inputs, "wall_clock_s": 0.1, "memory_cost": 4}) + "\n")
+        base = write_json(tmp_path / "base.json",
+                          {"dataset": "toy", "accuracy": 1.0, **baseline_inputs})
+        assert main(["report", "--results", str(results), "--baseline", str(base),
+                     "--out", str(tmp_path / "report")]) == 3
+        assert "differ in dataset, inputs_crc32 or normalize" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
         {"run_id": "x", "t": 1, "accuracy": 0.5},
@@ -760,11 +791,14 @@ class TestReport:
         # a tuple is several lines: a bare record after an event of its run
         ({**RUN_RECORD, "t": 60, "accuracy": 0.5}, RUN_RECORD),
         {**RUN_RECORD, "t": 60, "accuracy": 0.5, "memory_cost": 4},
+        ({**RUN_RECORD, "t": 60, "accuracy": 0.5},
+         {**RUN_RECORD, "wall_clock_s": 0.1, "memory_cost": 4, "error": "diverged"}),
+        {**RUN_RECORD, "error": 7},
     ], ids=["no_run_fields", "not_an_object", "event_without_accuracy", "accuracy_null",
             "accuracy_string", "accuracy_nan", "accuracy_above_one", "t_string", "t_zero",
             "t_fraction", "buffer_size_string", "seed_bool", "method_number",
             "config_number", "terminal_without_events", "neither_event_nor_terminal",
-            "event_and_terminal"])
+            "event_and_terminal", "failed_and_finished", "error_not_a_string"])
     def test_malformed_record(self, tmp_path, capsys, line):
         code, out = self.run_report(tmp_path, [("queue", 2, 0, [(30, 1.0)])])
         assert code == 0
@@ -830,7 +864,9 @@ class TestTopLevel:
                     "--baseline", base, "--out", str(taken_dir)],
             "report": ["--results", str(craft_results(tmp_path / "r.jsonl",
                                                       [("queue", 2, 0, [(30, 1.0)])])),
-                       "--baseline", base, "--out", str(taken_file)],
+                       "--baseline", str(write_json(tmp_path / "b_out.json", {
+                           "dataset": "toy", "accuracy": 1.0, **INPUTS})),
+                       "--out", str(taken_file)],
         }[command]
         assert main([command, *argv]) == 2
         out = taken_file if command in ("synth", "report") else taken_dir
