@@ -63,13 +63,10 @@ stage(["run", "--config", str(sweep_cfg),
        "--baseline", str(work / "baseline.json.out"),
        "--out", str(work / "results.jsonl")])
 
-# 4. summarize into CSV tables
+# 4. summarize into a CSV table
 stage(["report", "--results", str(work / "results.jsonl"),
        "--baseline", str(work / "baseline.json.out"),
        "--out", str(work / "report")])
 
 print("\n--- report/omega_table.csv ---")
 print((work / "report" / "omega_table.csv").read_text())
-print("--- report/plot_data.csv (first 8 lines) ---")
-for line in (work / "report" / "plot_data.csv").read_text().splitlines()[:8]:
-    print(line)

@@ -17,7 +17,7 @@ is free. Once full, each strategy decides how to compress:
                   dimension bit vectors
 * reservoir       classic reservoir sampling (replace with prob b/M)
 * queue           FIFO of the last b samples
-* full            unbounded; stores everything
+* full            keeps every sample; its block is the stream's largest class
 
 Distance ties always resolve to the lowest slot index. Micro-cluster
 strategies cost 2 memory units per cluster, everything else 1 per stored
@@ -37,9 +37,9 @@ BOUNDED_STRATEGIES = tuple(s for s in STRATEGIES if s != "full")
 
 
 def check_capacity(strategy: str, capacity: int, what: str = "capacity") -> None:
-    """The capacity rule: a bounded strategy needs at least one slot, and
-    exstream two, to merge a closest pair; any other method takes any."""
-    least = 2 if strategy == "exstream" else int(strategy in BOUNDED_STRATEGIES)
+    """The capacity rule: a store needs at least one slot, and exstream
+    two, to merge a closest pair."""
+    least = 2 if strategy == "exstream" else 1
     if capacity < least:
         raise UsageError(f"{strategy} needs capacity >= {least}, got {what} {capacity}")
 
@@ -143,13 +143,6 @@ class SlotStore:
 
     def overflow(self, x):
         raise UsageError(f"store of {self.capacity} slots is full")
-
-    def move_to(self, rows):
-        """Continue in ``rows``, a larger block; filled rows and counts carry over."""
-        rows[: self.size] = self.vectors()
-        counts = np.zeros(len(rows), dtype=np.int64)
-        counts[: self.size] = self.counts()
-        self._vecs, self._counts, self.capacity = rows, counts, len(rows)
 
     def vectors(self):
         return self._vecs[: self.size]
@@ -504,13 +497,15 @@ class BufferManager:
     """Per-class stores over one prototype array, behind one insert/contents
     interface.
 
-    Class c owns rows [c*B, (c+1)*B) of a (num_classes*B, d) array. B is
-    the capacity, twice it for clustream's staging pool, and for full 16
-    rows that double whenever a class fills its block. Each store keeps its
-    prototypes in its own block, so they are read where they live:
-    ``filled`` gives the array with the index of its filled rows in
-    (class, slot) order, rebuilt only when a class's size changes, and
-    ``contents`` gathers a fresh copy through that index.
+    Class c owns rows [c*B, (c+1)*B) of a (num_classes*B, d) array, which
+    is allocated once and never moves. B is the capacity, or twice it for
+    clustream's staging pool. full is a plain slot store: given the
+    stream's largest class as its capacity it keeps every sample, and an
+    insert past the capacity is an error. Each store keeps its prototypes
+    in its own block, so they are read where they live: ``filled`` gives
+    the array with the index of its filled rows in (class, slot) order,
+    rebuilt only when a class's size changes, and ``contents`` gathers a
+    fresh copy through that index.
 
     The feature dimension is never declared up front: the first insert
     fixes it, allocates the array and builds every class's store, and
@@ -533,18 +528,14 @@ class BufferManager:
         self.num_classes = num_classes
         self.seed = require_seed(seed)
         self._dim: int | None = None
-        self._block = {"clustream": CLUSTREAM_INIT_MULTIPLIER * capacity,
-                       "full": 16}.get(strategy, capacity)
+        self._block = CLUSTREAM_INIT_MULTIPLIER * capacity if strategy == "clustream" else capacity
         self._rows = np.zeros((0, 0))
         self._stores: list = []
         self._index: np.ndarray | None = None
         self._t = -np.inf  # stream time of the latest insert
 
-    def _class_rows(self, label):
-        return self._rows[label * self._block:(label + 1) * self._block]
-
     def _make_buffer(self, label):
-        s, rows = self.strategy, self._class_rows(label)
+        s, rows = self.strategy, self._rows[label * self._block:(label + 1) * self._block]
         if s == "exstream":
             return ExStreamBuffer(self.capacity, rows)
         if s == "online_kmeans":
@@ -559,15 +550,7 @@ class BufferManager:
             return ReservoirBuffer(self.capacity, rng, rows)
         if s == "queue":
             return QueueBuffer(self.capacity, rows)
-        return SlotStore(self._block, rows)  # full: grown by _grow before it overflows
-
-    def _grow(self):
-        """Double every class block of full's array; stores keep their rows."""
-        self._block *= 2
-        self._rows = np.zeros((self.num_classes * self._block, self._dim))
-        for label, store in enumerate(self._stores):
-            store.move_to(self._class_rows(label))
-        self._index = None
+        return SlotStore(self.capacity, rows)  # full
 
     def insert(self, x, label: int, t: float):
         """Route one sample into its class buffer at stream time t, a finite
@@ -589,12 +572,10 @@ class BufferManager:
             self._dim = dim
             self._rows = np.zeros((self.num_classes * self._block, dim))
             self._stores = [self._make_buffer(c) for c in range(self.num_classes)]
-        self._t = t
         store = self._stores[label]
-        if self.strategy == "full" and store.size == store.capacity:
-            self._grow()
         size = store.size
-        store.insert(x, t)
+        store.insert(x, t)  # full past its capacity raises and leaves the store as it was
+        self._t = t
         if store.size != size:
             self._index = None
 

@@ -1,5 +1,5 @@
 """Command line entry points: synthesize datasets, train the offline
-baseline, sweep streaming runs into a JSONL log, and report omega/mu CSVs.
+baseline, sweep streaming runs into a JSONL log, and report an omega/mu CSV.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric error or failed run.
 """
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import os
 import sys
@@ -90,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="results JSONL (appended, resumable)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("report", help="summarize results as omega/mu CSV tables")
+    p = sub.add_parser("report", help="summarize results as an omega/mu CSV table")
     p.add_argument("--results", required=True, help="results JSONL from the run command")
     p.add_argument("--baseline", required=True, help="baseline JSON")
-    p.add_argument("--out", required=True, help="output directory for CSVs")
+    p.add_argument("--out", required=True, help="output directory for the CSV")
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -298,12 +299,14 @@ def cmd_run(args) -> int:
     failed = sum("error" in runs[run_id][0] for run_id in tasks.keys() & runs.keys())
     # a pool starts all its workers at the first submit: never more than the runs
     workers = min(args.jobs, len(pending))
-    where = f"{workers} worker processes" if workers > 1 else "this process"
+    blas = "one BLAS thread each" if _blas_thread_setter() else "BLAS threads left as they are"
+    where = f"{workers} worker processes, {blas}" if workers > 1 else "this process"
     print(f"{len(tasks)} runs in sweep, {len(tasks) - len(pending)} already complete "
           f"({failed} failed), {len(pending)} to execute in {where}")
 
     # serial or parallel, the runs are written in sweep order
-    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool, \
+    with (ProcessPoolExecutor(workers, initializer=_one_blas_thread) if workers > 1
+          else nullcontext()) as pool, \
             open(out, "a") as log:
         for lines, error in (pool.map if pool else map)(_execute_task, pending):
             log.write(lines)
@@ -315,6 +318,23 @@ def cmd_run(args) -> int:
         raise NumericError(f"{failed} of the sweep's {len(tasks)} runs failed; "
                            f"their records in {out} hold the errors")
     return 0
+
+
+def _blas_thread_setter():
+    """numpy's bundled OpenBLAS thread-count setter, void(int); None when the
+    user set OPENBLAS_NUM_THREADS or numpy links a BLAS without a known one."""
+    libs = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")
+    setters = (getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+               for lib in libs)
+    return None if "OPENBLAS_NUM_THREADS" in os.environ else next(filter(None, setters), None)
+
+
+def _one_blas_thread():
+    """Pool initializer: one BLAS thread per worker, as N workers that each
+    thread over every core slow each other down."""
+    if setter := _blas_thread_setter():
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
 def _is_run_record(record) -> bool:
@@ -461,35 +481,27 @@ def cmd_report(args) -> int:
         omegas.setdefault(key, []).append(score.omega)
 
     # a row per size, its mean and spread over seeds; then mu over sizes per method
-    table_rows, plot_rows, mu_rows = [], [], []
+    table_rows, mu_rows = [], []
     for method_key, keys in groupby(sorted(omegas), key=lambda key: key[:3]):
         per_size = {}
         for key in keys:
             values = np.array(omegas[key])
             mean = float(values.mean())
-            row = (*method_key, str(key[3]), f"{mean:.3f}", f"{float(values.std()):.3f}")
-            table_rows.append(row + (str(len(values)),))
-            plot_rows.append(row)
+            table_rows.append((*method_key, str(key[3]), f"{mean:.3f}",
+                               f"{float(values.std()):.3f}", str(len(values))))
             per_size[key[3]] = mean
         mu_rows.append((*method_key, "mu_total", f"{mu_total(per_size):.3f}", "", ""))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "omega_table.csv"
-    plot_path = out / "plot_data.csv"
-    _write_csv(table_path, ("dataset", "ordering", "method", "buffer_size",
-                            "omega", "omega_std", "seeds"), table_rows + mu_rows)
-    _write_csv(plot_path, ("dataset", "ordering", "method", "buffer_size",
-                           "omega", "omega_std"), plot_rows)
-    print(f"wrote {table_path} and {plot_path}")
-    return 0
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(("dataset", "ordering", "method", "buffer_size",
+                         "omega", "omega_std", "seeds"))
+        writer.writerows(table_rows + mu_rows)
+    print(f"wrote {table_path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buffers import BufferManager, STRATEGIES, check_capacity
+from .buffers import BOUNDED_STRATEGIES, BufferManager, STRATEGIES, check_capacity
 from .data import Dataset, StreamOrdering, order_stream
 from .errors import UsageError, require_int, require_seed
 from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, train_epochs
@@ -70,7 +70,10 @@ class RunConfig:
             raise UsageError(f"unknown strategy {self.strategy!r}; expected one of {METHODS}")
         if self.eval_every < 1:
             raise UsageError("eval_every must be at least 1")
-        check_capacity(self.strategy, self.buffer_size, "buffer_size")
+        if self.strategy in BOUNDED_STRATEGIES:
+            check_capacity(self.strategy, self.buffer_size, "buffer_size")
+        elif self.buffer_size < 0:  # full and no_buffer read no size
+            raise UsageError(f"buffer_size must be non-negative, got {self.buffer_size}")
 
 
 def event_times(num_samples: int, eval_every: int) -> list[int]:
@@ -120,9 +123,10 @@ def execute_run(dataset: Dataset, config: RunConfig) -> RunResult:
     with rehearsal after every sample, evaluating on the test split at each
     event time; timed end to end, with the final buffer memory cost.
 
-    no_buffer has no buffer manager: each step trains on the arriving
-    sample alone (batch norm falls back to running statistics), and the
-    memory cost is 0.
+    full keeps every sample: its capacity is the train split's largest
+    class. no_buffer has no buffer manager: each step trains on the
+    arriving sample alone (batch norm falls back to running statistics),
+    and the memory cost is 0.
     """
     start = time.perf_counter()
     x, y = dataset.train_arrays()
@@ -131,7 +135,8 @@ def execute_run(dataset: Dataset, config: RunConfig) -> RunResult:
     model = MLPClassifier(config.mlp, dataset.dim, dataset.num_classes)
     manager = None
     if config.strategy != "no_buffer":
-        manager = BufferManager(config.strategy, config.buffer_size, dataset.num_classes,
+        size = int(np.bincount(y).max()) if config.strategy == "full" else config.buffer_size
+        manager = BufferManager(config.strategy, size, dataset.num_classes,
                                 seed=config.buffer_seed)
     shuffle_rng = np.random.default_rng([config.mlp.seed, 3])
     events = set(event_times(len(order), config.eval_every))

@@ -665,7 +665,7 @@ class TestBufferManager:
     def test_stream_time_never_runs_backwards(self, strategy):
         """An equal time is accepted; an earlier one is rejected, for any
         class, and leaves every store and the stream clock as they were."""
-        mgr = BufferManager(strategy, 2, num_classes=2)
+        mgr = BufferManager(strategy, 3 if strategy == "full" else 2, num_classes=2)
         for i, t in enumerate((1, 3, 3)):
             mgr.insert([float(i), 2.0], i % 2, t)
         before, cost = mgr.contents(), mgr.memory_cost()
@@ -718,6 +718,10 @@ class TestBufferManager:
         with pytest.raises(UsageError):
             BufferManager("exstream", 1, num_classes=2)
 
+    def test_full_needs_one_slot(self):
+        with pytest.raises(UsageError, match="full needs capacity >= 1"):
+            BufferManager("full", 0, num_classes=2)
+
     def test_per_class_capacity(self):
         mgr = BufferManager("queue", 2, num_classes=2)
         for i in range(10):
@@ -748,18 +752,23 @@ class TestBufferManager:
         vecs, _ = mgr.contents()
         assert vecs.shape == (5, 1)
 
-    def test_full_grows_without_bound(self):
-        mgr = BufferManager("full", 0, num_classes=1)
-        rows = np.arange(300.0).reshape(150, 2)
-        for i, row in enumerate(rows):
-            mgr.insert(row, 0, i)
-            if i in (15, 16, 17, 31, 32, 64, 100):  # on and around array doublings
-                np.testing.assert_array_equal(mgr.contents()[0], rows[: i + 1])
-        assert mgr.memory_cost() == 150
+    def test_full_holds_its_capacity_per_class(self):
+        """full keeps up to capacity rows per class in arrival order; an
+        insert into a full class is an error that changes nothing."""
+        mgr = BufferManager("full", 3, num_classes=2)
+        rows = np.arange(8.0).reshape(4, 2)
+        for t, (row, label) in enumerate(zip(rows, (0, 1, 0, 0)), start=1):
+            mgr.insert(row, label, t)
         vecs, labels = mgr.contents()
-        assert (labels == 0).sum() == 150
-        np.testing.assert_array_equal(vecs, rows)  # arrival order
-        np.testing.assert_array_equal(labels, np.zeros(150))
+        np.testing.assert_array_equal(vecs, rows[[0, 2, 3, 1]])
+        np.testing.assert_array_equal(labels, [0, 0, 0, 1])
+        with pytest.raises(UsageError, match="store of 3 slots is full"):
+            mgr.insert([9.0, 9.0], 0, 5)
+        after = mgr.contents()
+        assert after[0].tobytes() == vecs.tobytes() and after[1].tobytes() == labels.tobytes()
+        assert mgr.memory_cost() == 4
+        mgr.insert([9.0, 9.0], 1, 5)  # the other class still has room
+        np.testing.assert_array_equal(mgr.contents()[0][-1], [9.0, 9.0])
 
     def test_reservoir_seed_changes_selection(self):
         def fill(seed):
@@ -775,7 +784,7 @@ class TestBufferManager:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_non_finite_sample_rejected(self, strategy, bad):
-        mgr = BufferManager(strategy, 2, num_classes=2)
+        mgr = BufferManager(strategy, 3 if strategy == "full" else 2, num_classes=2)
         for i in range(3):
             mgr.insert([float(i), 2.0], 0, i + 1)
         before, cost = mgr.contents(), mgr.memory_cost()
@@ -807,9 +816,7 @@ def class_reference(strategy, capacity, label, seed, dim):
         return HPStreamBuffer(capacity, dim)
     if strategy == "reservoir":
         return ReservoirBuffer(capacity, np.random.default_rng([seed, 4, label]))
-    if strategy == "queue":
-        return QueueBuffer(capacity)
-    return None  # full keeps the class's rows in a list
+    return QueueBuffer(capacity)  # queue, or full, which fills like a queue and never overflows
 
 
 class TestManagerArray:
@@ -821,23 +828,22 @@ class TestManagerArray:
     def test_contents_equals_per_class_concatenation(self, strategy, stream):
         classes, capacity, dim, seed = 3, 4, 3, 7
         rng = np.random.default_rng(5)
-        labels = rng.integers(classes, size=120)  # 40 per class on average: full doubles twice
+        labels = rng.integers(classes, size=120)
         if stream == "class_iid":
             labels = np.sort(labels)
         rows = gaussian_stream(120, dim, seed=2)
         if stream == "rounded":
             rows = np.round(rows)  # repeated points and tied distances
-        mgr = BufferManager(strategy, capacity if strategy != "full" else 0, classes, seed=seed)
-        refs, seen = {}, {}
+        if strategy == "full":
+            capacity = int(np.bincount(labels).max())  # the stream's largest class
+        mgr = BufferManager(strategy, capacity, classes, seed=seed)
+        refs = {}
         for t, (x, c) in enumerate(zip(rows, labels.tolist()), start=1):
             mgr.insert(x, c, t)
-            if c not in seen:
-                refs[c], seen[c] = class_reference(strategy, capacity, c, seed, dim), []
-            seen[c].append(x)
-            if refs[c] is not None:
-                refs[c].insert(x, t)
-            blocks = [np.array(seen[k]) if refs[k] is None else refs[k].vectors()
-                      for k in sorted(refs)]
+            if c not in refs:
+                refs[c] = class_reference(strategy, capacity, c, seed, dim)
+            refs[c].insert(x, t)
+            blocks = [refs[k].vectors() for k in sorted(refs)]
             want = np.concatenate(blocks)
             want_labels = np.repeat(sorted(refs), [len(b) for b in blocks])
             got, got_labels = mgr.contents()
@@ -848,6 +854,19 @@ class TestManagerArray:
             np.testing.assert_array_equal(filled_labels, want_labels)
         if strategy == "clustream":
             assert all(ref.initialized for ref in refs.values())
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_prototype_array_never_moves(self, strategy):
+        """The array ``filled`` returns is allocated at the first insert and
+        is the same object after every later one, past every overflow."""
+        labels = np.random.default_rng(3).integers(3, size=90)
+        capacity = int(np.bincount(labels).max()) if strategy == "full" else 2
+        mgr = BufferManager(strategy, capacity, 3)
+        array = None
+        for t, (x, c) in enumerate(zip(gaussian_stream(90, 3, seed=4), labels.tolist()), start=1):
+            mgr.insert(x, c, t)
+            array = mgr.filled()[0] if array is None else array
+            assert mgr.filled()[0] is array, t
 
     def test_empty_stores_keep_their_shapes(self):
         assert CluStreamBuffer(2, np.random.default_rng(0)).vectors().shape == (0, 0)

@@ -1,13 +1,18 @@
 """End-to-end command line flows: synth, baseline, run, report."""
 
 import csv
+import ctypes
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from protostream import NumericError, cli
 from protostream.cli import main
+from protostream.protocol import AccuracyCurve, RunResult
 
 MLP = {"layer_sizes": [8], "learning_rate": 0.1, "batch_size": 16, "seed": 0}
 # a sweep's learner seed is each run's seed, so its mlp takes none
@@ -288,8 +293,10 @@ class TestRun:
                 raise NumericError("loss is not finite")
             return real_execute_run(dataset, config)
 
-        # threads share this process, so the patched execute_run is the one called
+        # threads share this process, so the patched execute_run is the one
+        # called, and the BLAS thread count they would set is this process's
         monkeypatch.setattr(cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(cli, "_one_blas_thread", lambda: None)
         monkeypatch.setattr(cli, "execute_run", execute_run)
         cfg = str(write_json(tmp_path / "sweep.json", sweep_config(
             workspace, methods=["queue"], seeds=[0, 1, 2], buffer_sizes=[2])))
@@ -434,9 +441,8 @@ class TestRun:
         assert report("after") == ("3", "")
         assert main(["report", "--results", str(full), "--baseline", base,
                      "--out", str(tmp_path / "full_report")]) == 0
-        for name in ("omega_table.csv", "plot_data.csv"):
-            assert (tmp_path / "after" / name).read_bytes() == \
-                   (tmp_path / "full_report" / name).read_bytes()
+        assert (tmp_path / "after/omega_table.csv").read_bytes() == \
+               (tmp_path / "full_report/omega_table.csv").read_bytes()
 
     def test_jobs_start_no_more_workers_than_runs_left(self, workspace, tmp_path, capsys,
                                                         monkeypatch):
@@ -447,7 +453,7 @@ class TestRun:
         class InlinePool:
             """Records its worker count and runs each task inline: no process starts."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -474,6 +480,35 @@ class TestRun:
         assert started == [3]
         assert "1 to execute in this process" in capsys.readouterr().out
         assert sum("memory_cost" in r for r in read_jsonl(out)) == 3
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one BLAS thread")
+    def test_jobs_workers_run_one_blas_thread(self, workspace, tmp_path, capsys, monkeypatch):
+        """This process runs two BLAS threads; each --jobs 2 worker runs one,
+        and logs the count it sees as its run's memory_cost."""
+        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                      .glob("libscipy_openblas*.so"))
+        blas = ctypes.CDLL(str(libs[0])) if libs else None
+        if not hasattr(blas, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy links a BLAS with no known thread count")
+        get, set_ = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        # workers fork from this process, so they call this execute_run
+        monkeypatch.setattr(cli, "execute_run", lambda dataset, config: RunResult(
+            AccuracyCurve([60], [0.5]), get(), 0.0))
+        cfg = str(write_json(tmp_path / "sweep.json", sweep_config(
+            workspace, methods=["queue"], seeds=[0, 1], buffer_sizes=[2])))
+        before = get()
+        set_(2)
+        try:
+            assert main(["run", "--config", cfg, "--baseline", str(workspace["baseline"]),
+                         "--jobs", "2", "--out", str(tmp_path / "results.jsonl")]) == 0
+        finally:
+            set_(before)
+        costs = [r["memory_cost"] for r in read_jsonl(tmp_path / "results.jsonl")
+                 if "memory_cost" in r]
+        assert costs == [1, 1]
+        assert "2 worker processes, one BLAS thread each" in capsys.readouterr().out
 
     @pytest.mark.parametrize("payload", [[1, 2], {"dataset": "toy", "accuracy": float("nan")}],
                              ids=["not_an_object", "accuracy_nan"])
@@ -696,13 +731,11 @@ class TestReport:
         row = next(r for r in self.read_table(out) if r["buffer_size"] == "2")
         assert row["omega"] == "0.800"
 
-    def test_plot_rows_exclude_summary(self, tmp_path):
+    def test_report_writes_one_table(self, tmp_path):
         rows = [("queue", 2, 0, [(30, 1.0)]), ("queue", 4, 0, [(30, 1.0)])]
         _, out = self.run_report(tmp_path, rows)
-        with open(out / "plot_data.csv", newline="") as fh:
-            plot = list(csv.DictReader(fh))
-        assert [r["buffer_size"] for r in plot] == ["2", "4"]
-        assert "seeds" not in plot[0]
+        assert [p.name for p in out.iterdir()] == ["omega_table.csv"]
+        assert [r["buffer_size"] for r in self.read_table(out)] == ["2", "4", "mu_total"]
 
     def test_report_is_byte_deterministic(self, tmp_path):
         rows = [("queue", b, s, [(30, 0.7), (60, 0.9)])

@@ -1,15 +1,17 @@
 """Streaming protocol: event grid, rehearsal pass, end-to-end runs."""
 
 import tracemalloc
+from contextlib import suppress
 
 import numpy as np
 import pytest
 
-from protostream import (AccuracyCurve, BufferManager, MLPClassifier, MLPConfig,
-                         RunConfig, StreamOrdering, SynthSpec, UsageError,
+from protostream import (AccuracyCurve, BOUNDED_STRATEGIES, BufferManager, MLPClassifier,
+                         MLPConfig, RunConfig, StreamOrdering, SynthSpec, UsageError,
                          evaluate_accuracy, event_times, execute_run,
-                         order_stream, rehearsal_update, run_offline_baseline,
+                         order_stream, protocol, rehearsal_update, run_offline_baseline,
                          synth_gaussian)
+from protostream.data import ORDERING_KINDS
 
 
 def stream_dataset(seed=0):
@@ -78,6 +80,11 @@ class TestRunConfig:
     def test_unbounded_methods_take_size_zero(self):
         assert stream_config("full", 0).buffer_size == 0
         assert stream_config("no_buffer", 0).buffer_size == 0
+
+    @pytest.mark.parametrize("strategy", ["full", "no_buffer"])
+    def test_unbounded_methods_refuse_a_negative_size(self, strategy):
+        with pytest.raises(UsageError, match="buffer_size"):
+            stream_config(strategy, -1)
 
     def test_eval_every_positive(self):
         with pytest.raises(UsageError, match="eval_every"):
@@ -258,6 +265,52 @@ class TestRunStreaming:
         b = execute_run(ds, stream_config("full", 0, **kw)).curve
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_bounded_runs_equal_full_until_a_class_passes_its_pool(self, monkeypatch):
+        """Until one of its classes passes its pool, a bounded store only
+        appends, so the learner sees what full shows it: at every event
+        before the (b+1)-th sample of a class (the 2b-th for clustream,
+        whose k-means seeding runs on its pool's last point), theta and the
+        batch-norm running statistics equal full's byte for byte."""
+        ds = synth_gaussian(SynthSpec(4, 8, 30, 10, instances_per_class=2,
+                                      class_mean_separation=5.0, seed=1))
+        y = ds.train_arrays()[1]
+        mlp = MLPConfig(layer_sizes=(8,), dropout_keep=0.8, learning_rate=0.1,
+                        batch_size=16, seed=0)
+
+        class Enough(Exception):
+            """Stops a run after the events it is compared on."""
+
+        def states(strategy, b, ordering, events):
+            """The learner's state at each of the run's first events."""
+            seen = []
+
+            def evaluate(model, x, labels):
+                if len(seen) == events:
+                    raise Enough
+                seen.append(np.concatenate([model.theta, *model.bn_mean, *model.bn_var]))
+                return evaluate_accuracy(model, x, labels)
+
+            monkeypatch.setattr(protocol, "evaluate_accuracy", evaluate)
+            with suppress(Enough):
+                execute_run(ds, RunConfig(strategy, b, ordering, mlp, eval_every=1))
+            return [state.tobytes() for state in seen]
+
+        for kind in ORDERING_KINDS:
+            ordering = StreamOrdering(kind, 2)
+            full = states("full", 0, ordering, len(y))
+            # rank[t - 1]: how many samples of its class the stream has shown by t
+            labels = y[order_stream(ds, ordering)]
+            rank = [np.count_nonzero(labels[:t] == c) for t, c in enumerate(labels, start=1)]
+            for strategy in BOUNDED_STRATEGIES:
+                for b in (2, 4, 8):
+                    passes = 2 * b if strategy == "clustream" else b + 1
+                    events = rank.index(passes)  # the events before the pool is passed
+                    got = states(strategy, b, ordering, events)
+                    differ = [t for t, (a, want) in enumerate(zip(got, full), start=1)
+                              if a != want]
+                    assert len(got) == events and not differ, \
+                        f"{strategy} b={b} on {kind} leaves full's run at t={differ[:1]}"
 
 
 class TestBaselineAndExecute:
