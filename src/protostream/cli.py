@@ -1,6 +1,10 @@
 """Command line entry points: synthesize datasets, train the offline
 baseline, sweep streaming runs into a JSONL log, and report an omega/mu CSV.
 
+Each command imports the layers it runs when it runs: synth the data
+module, baseline data and mlp, run every layer (and the process pool only
+when it starts one), report metrics.
+
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 numeric error or failed run.
 """
 
@@ -13,20 +17,18 @@ import json
 import os
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from itertools import groupby
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .buffers import BOUNDED_STRATEGIES
-from .data import (Dataset, StreamOrdering, SynthSpec, load_feature_matrix, load_manifest,
-                   synth_gaussian, write_dataset)
 from .errors import DataFormatError, NumericError, UsageError, require_int
-from .metrics import mu_total, omega_score
-from .mlp import MLPClassifier, MLPConfig, fit_offline
-from .protocol import AccuracyCurve, RunConfig, execute_run
+
+if TYPE_CHECKING:
+    from .data import Dataset
+    from .protocol import RunConfig
 
 SMALL_LABEL_SET_SIZES = (2, 4, 8, 16, 32, 64, 128, 256)
 LARGE_LABEL_SET_SIZES = (2, 4, 8, 16)
@@ -169,6 +171,7 @@ def _inputs_crc32(features, manifest) -> list[str]:
 
 
 def _load_dataset(features_path, manifest_path, normalize, name=None) -> Dataset:
+    from .data import load_feature_matrix, load_manifest
     key = (str(features_path), str(manifest_path), bool(normalize), name)
     if key not in _dataset_cache:
         for path, what in ((features_path, "features"), (manifest_path, "manifest")):
@@ -183,6 +186,7 @@ def _load_dataset(features_path, manifest_path, normalize, name=None) -> Dataset
 # -- synth ---------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    from .data import SynthSpec, synth_gaussian, write_dataset
     spec = _build(SynthSpec, _load_json(args.config, "synth config"), "synth config")
     dataset = synth_gaussian(spec)
     out = Path(args.out)
@@ -199,6 +203,7 @@ def cmd_synth(args) -> int:
 # -- baseline ------------------------------------------------------------
 
 def cmd_baseline(args) -> int:
+    from .mlp import MLPClassifier, MLPConfig, fit_offline
     payload = _check_keys(_load_json(args.config, "baseline config"), BASELINE_KEYS,
                           "baseline config")
     config = _build(MLPConfig, _convert(dict, payload.get("mlp", {}), "mlp"), "mlp config")
@@ -223,6 +228,7 @@ def cmd_baseline(args) -> int:
 # -- run -----------------------------------------------------------------
 
 def cmd_run(args) -> int:
+    from .buffers import BOUNDED_STRATEGIES
     sweep = _check_keys(_load_json(args.config, "sweep config"), SWEEP_KEYS, "sweep config")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
@@ -304,11 +310,14 @@ def cmd_run(args) -> int:
     print(f"{len(tasks)} runs in sweep, {len(tasks) - len(pending)} already complete "
           f"({failed} failed), {len(pending)} to execute in {where}")
 
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers, initializer=_one_blas_thread)
+    else:
+        pool = nullcontext()
     # serial or parallel, the runs are written in sweep order
-    with (ProcessPoolExecutor(workers, initializer=_one_blas_thread) if workers > 1
-          else nullcontext()) as pool, \
-            open(out, "a") as log:
-        for lines, error in (pool.map if pool else map)(_execute_task, pending):
+    with pool, open(out, "a") as log:
+        for lines, error in (pool.map if workers > 1 else map)(_execute_task, pending):
             log.write(lines)
             log.flush()
             if error:
@@ -416,6 +425,9 @@ def _config_hash(settings) -> str:
 def _run_config(task) -> RunConfig:
     """The run a task describes; its checks are the sweep's checks of
     method, ordering, capacity, eval_every and mlp."""
+    from .data import StreamOrdering
+    from .mlp import MLPConfig
+    from .protocol import RunConfig
     return RunConfig(
         strategy=task["method"],
         buffer_size=task["buffer_size"],
@@ -433,6 +445,7 @@ def _execute_task(task) -> tuple[str, str | None]:
     record, or, if it raised NumericError, one failed record holding the
     message as ``error``. A terminal record names the inputs, as ``report``
     matches them against the baseline's."""
+    from .protocol import execute_run
     dataset = _load_dataset(task["features"], task["manifest"],
                             task["normalize"], task["dataset"])
     identity = {k: task[k] for k in ("run_id",) + RUN_FIELDS}
@@ -451,6 +464,7 @@ def _execute_task(task) -> tuple[str, str | None]:
 # -- report ----------------------------------------------------------------
 
 def cmd_report(args) -> int:
+    from .metrics import AccuracyCurve, mu_total, omega_score
     results_path = Path(args.results)
     if not results_path.exists():
         raise UsageError(f"results file not found: {results_path}")

@@ -1,7 +1,7 @@
-"""Normalized streaming performance: per-size omega scores (time-averaged
-ratio of streaming accuracy to the offline baseline at matching events)
-and their mean across buffer sizes. Omega above 1 is legitimate and is
-never clamped."""
+"""Accuracy curves and normalized streaming performance: per-size omega
+scores (time-averaged ratio of streaming accuracy to the offline baseline
+at matching events) and their mean across buffer sizes. Omega above 1 is
+legitimate and is never clamped."""
 
 from __future__ import annotations
 
@@ -11,7 +11,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, NumericError, UsageError
-from .protocol import AccuracyCurve
+
+
+@dataclass
+class AccuracyCurve:
+    """Test accuracy measured at increasing stream positions."""
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.times.ndim != 1 or self.times.shape != self.values.shape:
+            raise UsageError("curve times and values must be aligned 1-D arrays")
+        if len(self.times) == 0:
+            raise UsageError("curve must hold at least one event")
+        if (np.diff(self.times) <= 0).any():
+            raise UsageError("curve times must be strictly increasing")
+        if not ((self.values >= 0) & (self.values <= 1)).all():  # NaN fails both
+            raise UsageError("accuracies must be numbers in [0, 1]")
+
+    @property
+    def num_events(self) -> int:
+        return len(self.times)
+
+    @property
+    def events(self):
+        return list(zip(self.times.tolist(), self.values.tolist()))
 
 
 @dataclass(frozen=True)

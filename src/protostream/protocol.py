@@ -11,37 +11,10 @@ import numpy as np
 from .buffers import BOUNDED_STRATEGIES, BufferManager, STRATEGIES, check_capacity
 from .data import Dataset, StreamOrdering, order_stream
 from .errors import UsageError, require_int, require_seed
+from .metrics import AccuracyCurve
 from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, train_epochs
 
 METHODS = STRATEGIES + ("no_buffer",)
-
-
-@dataclass
-class AccuracyCurve:
-    """Test accuracy measured at increasing stream positions."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.times.ndim != 1 or self.times.shape != self.values.shape:
-            raise UsageError("curve times and values must be aligned 1-D arrays")
-        if len(self.times) == 0:
-            raise UsageError("curve must hold at least one event")
-        if (np.diff(self.times) <= 0).any():
-            raise UsageError("curve times must be strictly increasing")
-        if not ((self.values >= 0) & (self.values <= 1)).all():  # NaN fails both
-            raise UsageError("accuracies must be numbers in [0, 1]")
-
-    @property
-    def num_events(self) -> int:
-        return len(self.times)
-
-    @property
-    def events(self):
-        return list(zip(self.times.tolist(), self.values.tolist()))
 
 
 @dataclass

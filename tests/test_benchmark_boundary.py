@@ -10,6 +10,7 @@ change to the CLI's config schema that the benchmark's sweep would trip on.
 import importlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,6 +56,37 @@ def test_streaming_and_offline_spans_are_recorded():
     for span in ("mlp.train_minibatch", "buffers.insert.exstream",
                  "protocol.rehearsal_update", "mlp.fit_offline"):
         assert span in names, span
+
+
+# perfbench/run.py's imports in a fresh interpreter: the script's directory
+# first on the path, src before it, then checks and workloads, then tracing
+TRACE_FRESH = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import checks, workloads
+import tracing
+from protostream import MLPConfig, RunConfig, StreamOrdering, SynthSpec, synth_gaussian
+import protostream.protocol as P
+ds = synth_gaussian(SynthSpec(3, 6, 12, 4, class_mean_separation=6.0, seed=0))
+config = RunConfig("exstream", 4, StreamOrdering("class_iid", 0),
+                   MLPConfig(layer_sizes=(8,), learning_rate=0.1, batch_size=8), eval_every=12)
+tracer = tracing.Tracer()
+with tracer.installed():
+    P.execute_run(ds, config)
+print(json.dumps(sorted(set(tracer.names))))
+"""
+
+
+def test_spans_are_recorded_in_a_fresh_benchmark_process():
+    """The benchmark's tracer finds every module it patches when imported
+    as perfbench/run.py imports it, though the package loads its layers
+    only on first use."""
+    src = Path(P.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", TRACE_FRESH, str(src), str(PERFBENCH)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(proc.stdout.splitlines()[-1])
+    assert "protocol.execute_run" in names and "mlp.train_minibatch" in names
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -4,13 +4,15 @@ import csv
 import ctypes
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protostream import NumericError, cli
+from protostream import NumericError, cli, protocol
 from protostream.cli import main
 from protostream.protocol import AccuracyCurve, RunResult
 
@@ -285,7 +287,7 @@ class TestRun:
         in sweep order, and exits 4; a second `run` executes nothing and
         exits 4 again; `report` scores the other runs and skips the failed one."""
         executed = []
-        real_execute_run = cli.execute_run
+        real_execute_run = protocol.execute_run
 
         def execute_run(dataset, config):
             executed.append(config.buffer_seed)
@@ -295,9 +297,9 @@ class TestRun:
 
         # threads share this process, so the patched execute_run is the one
         # called, and the BLAS thread count they would set is this process's
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
         monkeypatch.setattr(cli, "_one_blas_thread", lambda: None)
-        monkeypatch.setattr(cli, "execute_run", execute_run)
+        monkeypatch.setattr(protocol, "execute_run", execute_run)
         cfg = str(write_json(tmp_path / "sweep.json", sweep_config(
             workspace, methods=["queue"], seeds=[0, 1, 2], buffer_sizes=[2])))
         base, out = str(workspace["baseline"]), tmp_path / "results.jsonl"
@@ -465,7 +467,7 @@ class TestRun:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         cfg = str(write_json(tmp_path / "sweep.json", sweep_config(
             workspace, methods=["queue"], seeds=[0, 1, 2], buffer_sizes=[2])))
         base, out = str(workspace["baseline"]), tmp_path / "results.jsonl"
@@ -494,7 +496,7 @@ class TestRun:
         set_.argtypes, set_.restype = [ctypes.c_int], None
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         # workers fork from this process, so they call this execute_run
-        monkeypatch.setattr(cli, "execute_run", lambda dataset, config: RunResult(
+        monkeypatch.setattr(protocol, "execute_run", lambda dataset, config: RunResult(
             AccuracyCurve([60], [0.5]), get(), 0.0))
         cfg = str(write_json(tmp_path / "sweep.json", sweep_config(
             workspace, methods=["queue"], seeds=[0, 1], buffer_sizes=[2])))
@@ -906,3 +908,61 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
         assert taken_file.read_text() == "keep\n" and not any(taken_dir.iterdir())
+
+
+# runs one command in a fresh interpreter; its last line of output is the
+# exit code, the protostream modules loaded, and whether a process pool was
+LOADS = """
+import json, sys
+from protostream import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("protostream.")),
+                  "concurrent.futures.process" in sys.modules]))
+"""
+SRC = Path(cli.__file__).resolve().parents[1]
+EVERY_LAYER = sorted(f"protostream.{p.stem}" for p in (SRC / "protostream").glob("*.py")
+                     if p.stem != "__init__")
+
+
+class TestLoads:
+    @pytest.mark.parametrize("command, jobs, layers", [
+        ("synth", None, ["cli", "data", "errors"]),
+        ("baseline", None, ["cli", "data", "errors", "mlp"]),
+        ("report", None, ["cli", "errors", "metrics"]),
+        ("run", "1", None),
+        ("run", "2", None),
+    ], ids=["synth", "baseline", "report", "run-jobs1", "run-jobs2"])
+    def test_a_command_loads_only_the_layers_it_runs(self, workspace, tmp_path, command, jobs,
+                                                     layers):
+        """synth loads data, baseline data and mlp, report metrics, and run
+        every layer (errors and cli come with each); only run --jobs 2
+        loads the process pool."""
+        base = str(workspace["baseline"])
+        sweep = str(write_json(tmp_path / "sweep.json", sweep_config(
+            workspace, methods=["queue"], seeds=[0, 1], buffer_sizes=[2])))
+        results = tmp_path / "results.jsonl"
+        argv = {
+            "synth": ["--config", str(write_json(tmp_path / "s.json", SYNTH)),
+                      "--out", str(tmp_path / "data")],
+            "baseline": ["--features", str(workspace["features"]),
+                         "--manifest", str(workspace["manifest"]),
+                         "--config", str(write_json(tmp_path / "b.json", {
+                             "dataset": "toy", "epochs": 1, "mlp": MLP})),
+                         "--out", str(tmp_path / "b_out.json")],
+            "run": ["--config", sweep, "--baseline", base, "--jobs", str(jobs),
+                    "--out", str(results)],
+            "report": ["--results", str(results), "--baseline", base,
+                       "--out", str(tmp_path / "report")],
+        }[command]
+        if command == "report":
+            assert main(["run", "--config", sweep, "--baseline", base,
+                         "--out", str(results)]) == 0
+        proc = subprocess.run([sys.executable, "-c", LOADS, command, *argv],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, pool = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        expected = EVERY_LAYER if layers is None else [f"protostream.{m}" for m in layers]
+        assert loaded == expected
+        assert pool == (jobs == "2")
