@@ -22,9 +22,9 @@ _EXPORTS = (
               "order_stream", "save_feature_matrix", "synth_gaussian", "write_dataset",
               "write_manifest")),
     ("errors", ("DataFormatError", "NumericError", "UsageError")),
-    ("metrics", ("AccuracyCurve", "OmegaResult", "mu_total", "omega_score")),
+    ("metrics", ("AccuracyCurve", "OmegaResult", "event_times", "mu_total", "omega_score")),
     ("mlp", ("MLPClassifier", "MLPConfig", "evaluate_accuracy", "fit_offline")),
-    ("protocol", ("METHODS", "RunConfig", "RunResult", "event_times", "execute_run",
+    ("protocol", ("METHODS", "RunConfig", "RunResult", "execute_run",
                   "rehearsal_update", "run_offline_baseline")),
 )
 _MODULE_OF = {name: module for module, names in _EXPORTS for name in names}

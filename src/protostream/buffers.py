@@ -289,9 +289,9 @@ class CluStreamBuffer:
         dist = float(np.sqrt(d2[near]))
         if n[near] >= 2:
             boundary = CLUSTREAM_BOUNDARY_FACTOR * _rms_radius(n[near], linear[near], squared[near])
-        else:  # a lone cluster has no other centroid: boundary inf
+        else:  # a singleton's boundary: the distance to its nearest other centroid
             others = ((cents - cents[near]) ** 2).sum(axis=1)
-            others[near] = np.inf
+            others[near] = np.inf  # not its own
             boundary = float(np.sqrt(others.min()))
         point = _point_row(x, 1.0, t, t * t)
         if dist <= boundary:

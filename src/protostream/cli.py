@@ -287,8 +287,8 @@ def cmd_run(args) -> int:
 
     # one log holds one configuration: any finished run of another stops the sweep
     out = Path(args.out)
-    runs, _, intact = _read_log(out)
-    for run_id, (terminal, _) in runs.items():
+    runs, unfinished, intact = _read_log(out)
+    for run_id, (terminal, *_) in runs.items():
         if terminal.get("config") != config_hash:
             raise UsageError(f"{out} holds a finished run {run_id} with another "
                              f"configuration; write this sweep to a new --out")
@@ -299,7 +299,8 @@ def cmd_run(args) -> int:
             f"with normalize {normalize}; run 'protostream baseline' again")
     out.parent.mkdir(parents=True, exist_ok=True)
     if out.exists() and out.stat().st_size > intact:
-        print(f"dropping what follows the last finished run in {out}", file=sys.stderr)
+        cut = f"the unfinished run {unfinished}" if unfinished else "a torn last line"
+        print(f"dropping what follows the last finished run in {out}: {cut}", file=sys.stderr)
         os.truncate(out, intact)
     pending = [task for run_id, task in tasks.items() if run_id not in runs]
     failed = sum("error" in runs[run_id][0] for run_id in tasks.keys() & runs.keys())
@@ -365,54 +366,53 @@ def _is_run_record(record) -> bool:
                  or (record["t"] >= 1 and _is_accuracy(record.get("accuracy")))))
 
 
-def _read_log(path: Path) -> tuple[dict[str, tuple[dict, dict[int, float]]], int, int]:
-    """The done runs of a results log, the number of its unfinished runs,
-    and the byte length of the log up to its last done run.
+def _read_log(path: Path) -> tuple[dict[str, tuple[dict, list[int], list]], str | None, int]:
+    """The done runs of a results log, its unfinished run, and the byte
+    length of the log up to its last done run.
 
-    A log is a list of done runs. A finished run is the unbroken block of
-    one run's event records, then its terminal record (``memory_cost``); a
-    failed run is one terminal record (``error``) and no events. The done
-    runs come by run_id in the order they were written, each as its
-    terminal record and its events {t: accuracy}; within a block the last
-    record of a t wins. Event records anywhere else are left over from an
-    execution that did not finish and never count; a run that has them and
-    no terminal record is unfinished. ``run`` cuts the log back to its last
-    done run before it appends and executes no done run again, not even a
-    failed one, and ``report`` scores the finished runs.
+    A log is a list of done runs, then at most the events of one
+    unfinished run. A finished run is its event records at exactly the
+    times ``event_times(last t, first t)``, then directly its terminal
+    record (``memory_cost``); a failed run is one terminal record
+    (``error``) on its own. Each done run comes by run_id, in the order
+    written, as its terminal record and its event times and accuracies
+    (none for a failed run); the unfinished run is the run_id of the
+    events after the last done run, or None. ``run`` cuts the log back to
+    its last done run before it appends, and ``report`` scores the
+    finished runs.
 
     Every record ends with a newline, so a last line without one is a write
     cut short by a crash and is skipped. A corrupt line anywhere else is an
-    error, and so is a line that is not a run record (``_is_run_record``),
-    or a ``memory_cost`` record with no event of its run just before it.
+    error, and so is a line that is not a run record (``_is_run_record``)
+    or that breaks this rule.
     """
+    from .metrics import event_times
     if not path.exists():
-        return {}, 0, 0
-    runs, started = {}, set()
-    run_id, events, intact, end = None, {}, 0, 0
+        return {}, None, 0
+    runs, run_id, times, values, intact, end = {}, None, [], [], 0, 0
     with open(path, "rb") as fh:
         for line in fh:
             if not line.endswith(b"\n"):
                 break
             end += len(line)
-            if not line.strip():
-                continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}: corrupt results line: {exc}") from exc
-            if not _is_run_record(record) or ("memory_cost" in record
-                                              and record["run_id"] != run_id):
-                text = line.decode(errors="replace").strip()[:200]
-                raise DataFormatError(f"{path}: not a run record: {text}")
-            if "t" not in record:  # a terminal record closes its run
-                runs[record["run_id"]] = (record, events if "memory_cost" in record else {})
-                run_id, events, intact = None, {}, end
+            fresh = _is_run_record(record) and record["run_id"] not in runs
+            if fresh and "t" in record and run_id in (None, record["run_id"]):
+                run_id = record["run_id"]
+                times.append(record["t"])
+                values.append(record["accuracy"])
+            elif fresh and (run_id is None if "error" in record else run_id == record["run_id"]
+                            and times[-1] <= len(times) * times[0]  # a grid no longer than times
+                            and times == event_times(times[-1], times[0])):
+                runs[record["run_id"]] = (record, times, values)
+                run_id, times, values, intact = None, [], [], end
             else:
-                if record["run_id"] != run_id:  # a new block; one before it never finished
-                    run_id, events = record["run_id"], {}
-                    started.add(run_id)
-                events[record["t"]] = float(record["accuracy"])
-    return runs, len(started - runs.keys()), intact
+                text = line.decode(errors="replace").strip()[:200]
+                raise DataFormatError(f"{path}: not a run record in its place: {text}")
+    return runs, run_id, intact
 
 
 def _config_hash(settings) -> str:
@@ -474,7 +474,7 @@ def cmd_report(args) -> int:
     runs, unfinished, _ = _read_log(results_path)
     finished = {run_id: run for run_id, run in runs.items() if "error" not in run[0]}
     if unfinished:
-        print(f"skipped {unfinished} unfinished run(s) with no terminal record", file=sys.stderr)
+        print(f"skipped the unfinished run {unfinished}", file=sys.stderr)
     if len(runs) > len(finished):
         print(f"skipped {len(runs) - len(finished)} failed run(s)", file=sys.stderr)
     if not finished:
@@ -483,11 +483,10 @@ def cmd_report(args) -> int:
     # omega per finished run against the baseline, by (dataset, ordering, method, size)
     bound = ("dataset", "inputs_crc32", "normalize")
     omegas: dict[tuple, list[float]] = {}
-    for run_id, (meta, events) in finished.items():
+    for run_id, (meta, times, values) in finished.items():
         if any(meta.get(k) is None or meta.get(k) != baseline.get(k) for k in bound):
             raise DataFormatError(f"run {run_id} and baseline {args.baseline} differ in "
                                   f"dataset, inputs_crc32 or normalize")
-        times, values = map(np.array, zip(*sorted(events.items())))
         offline = AccuracyCurve(times, np.full(len(times), baseline["accuracy"]))
         score = omega_score(AccuracyCurve(times, values), offline,
                             buffer_size=meta["buffer_size"])

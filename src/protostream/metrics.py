@@ -1,7 +1,7 @@
-"""Accuracy curves and normalized streaming performance: per-size omega
-scores (time-averaged ratio of streaming accuracy to the offline baseline
-at matching events) and their mean across buffer sizes. Omega above 1 is
-legitimate and is never clamped."""
+"""Accuracy curves, their event grid, and normalized streaming
+performance: per-size omega scores (time-averaged ratio of streaming
+accuracy to the offline baseline at matching events) and their mean
+across buffer sizes. Omega above 1 is legitimate and is never clamped."""
 
 from __future__ import annotations
 
@@ -39,6 +39,16 @@ class AccuracyCurve:
     @property
     def events(self):
         return list(zip(self.times.tolist(), self.values.tolist()))
+
+
+def event_times(num_samples: int, eval_every: int) -> list[int]:
+    """Evaluation positions: every eval_every samples plus the final one."""
+    if num_samples < 1 or eval_every < 1:
+        raise UsageError("need at least one sample and a positive stride")
+    times = list(range(eval_every, num_samples + 1, eval_every))
+    if not times or times[-1] != num_samples:
+        times.append(num_samples)
+    return times
 
 
 @dataclass(frozen=True)

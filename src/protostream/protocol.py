@@ -11,7 +11,7 @@ import numpy as np
 from .buffers import BOUNDED_STRATEGIES, BufferManager, STRATEGIES, check_capacity
 from .data import Dataset, StreamOrdering, order_stream
 from .errors import UsageError, require_int, require_seed
-from .metrics import AccuracyCurve
+from .metrics import AccuracyCurve, event_times
 from .mlp import MLPClassifier, MLPConfig, evaluate_accuracy, fit_offline, train_epochs
 
 METHODS = STRATEGIES + ("no_buffer",)
@@ -47,16 +47,6 @@ class RunConfig:
             check_capacity(self.strategy, self.buffer_size, "buffer_size")
         elif self.buffer_size < 0:  # full and no_buffer read no size
             raise UsageError(f"buffer_size must be non-negative, got {self.buffer_size}")
-
-
-def event_times(num_samples: int, eval_every: int) -> list[int]:
-    """Evaluation positions: every eval_every samples plus the final one."""
-    if num_samples < 1 or eval_every < 1:
-        raise UsageError("need at least one sample and a positive stride")
-    times = list(range(eval_every, num_samples + 1, eval_every))
-    if not times or times[-1] != num_samples:
-        times.append(num_samples)
-    return times
 
 
 def rehearsal_update(model: MLPClassifier, manager: BufferManager,

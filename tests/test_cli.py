@@ -414,8 +414,10 @@ class TestRun:
 
     def test_run_re_executes_exactly_the_runs_report_skips(self, workspace, tmp_path,
                                                             capsys):
-        """One log of three runs: s0 finished, s1 cut off before its terminal
-        record, and s2 executed again in full after a partial write."""
+        """One log of three runs, as `run` leaves it when a sweep of seeds 0
+        and 2 is extended to seeds 0-2 and cut inside s1: s0 and s2 done,
+        then s1's events without their terminal record. `report` skips s1
+        and names it; `run` names it, cuts it off and re-executes it alone."""
         base = str(workspace["baseline"])
         cfg = write_json(tmp_path / "sweep.json", sweep_config(
             workspace, methods=["queue"], seeds=[0, 1, 2], buffer_sizes=[2]))
@@ -423,8 +425,10 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--baseline", base, "--out", str(full)]) == 0
         runs = {s: [r for r in read_jsonl(full) if r["seed"] == s] for s in (0, 1, 2)}
         out = tmp_path / "results.jsonl"
-        records = runs[0] + runs[2][:1] + runs[1][:-1] + runs[2]
-        out.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out.write_text("".join(json.dumps(r) + "\n" for r in runs[0] + runs[2]))
+        done = out.read_bytes()
+        with open(out, "a") as fh:
+            fh.write("".join(json.dumps(r) + "\n" for r in runs[1][:-1]))
         capsys.readouterr()
 
         def report(name):
@@ -433,18 +437,61 @@ class TestRun:
             with open(tmp_path / name / "omega_table.csv", newline="") as fh:
                 return next(csv.DictReader(fh))["seeds"], capsys.readouterr().err
 
-        assert report("before") == ("2", "skipped 1 unfinished run(s) with no terminal record\n")
-        logged = out.read_bytes()
+        assert report("before") == ("2", "skipped the unfinished run toy-queue-b2-iid-s1\n")
         assert main(["run", "--config", str(cfg), "--baseline", base, "--out", str(out)]) == 0
-        assert "2 already complete (0 failed), 1 to execute" in capsys.readouterr().out
-        appended = read_jsonl(out)[len(records):]
-        assert out.read_bytes().startswith(logged)
+        captured = capsys.readouterr()
+        assert "2 already complete (0 failed), 1 to execute" in captured.out
+        assert f"dropping what follows the last finished run in {out}: " \
+               "the unfinished run toy-queue-b2-iid-s1" in captured.err
+        assert out.read_bytes().startswith(done)
+        appended = read_jsonl(out)[len(runs[0] + runs[2]):]
         assert {r["run_id"] for r in appended} == {"toy-queue-b2-iid-s1"}
         assert report("after") == ("3", "")
         assert main(["report", "--results", str(full), "--baseline", base,
                      "--out", str(tmp_path / "full_report")]) == 0
         assert (tmp_path / "after/omega_table.csv").read_bytes() == \
                (tmp_path / "full_report/omega_table.csv").read_bytes()
+
+    def test_a_cut_anywhere_leaves_a_readable_log(self, workspace, tmp_path, monkeypatch):
+        """A --jobs 2 log of three runs, s1 failed, cut at every byte: the
+        done runs are those whose terminal line ends before the cut, and the
+        unfinished run is the one whose events the cut leaves without their
+        terminal record. `run` resumed from a cut writes the uncut log again,
+        apart from wall_clock_s."""
+        real_execute_run = protocol.execute_run
+
+        def execute_run(dataset, config):
+            if config.buffer_seed == 1:
+                raise NumericError("loss is not finite")
+            return real_execute_run(dataset, config)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(cli, "_one_blas_thread", lambda: None)
+        monkeypatch.setattr(protocol, "execute_run", execute_run)
+        cfg = str(write_json(tmp_path / "sweep.json", sweep_config(
+            workspace, methods=["queue"], seeds=[0, 1, 2], buffer_sizes=[2], eval_every=20)))
+        base, out = str(workspace["baseline"]), tmp_path / "results.jsonl"
+        argv = ["run", "--config", cfg, "--baseline", base, "--jobs", "2", "--out", str(out)]
+        assert main(argv) == 4
+        data, records, uncut = out.read_bytes(), read_jsonl(out), cli._read_log(out)[0]
+        ends = np.cumsum([len(line) for line in data.splitlines(keepends=True)])
+        for cut in range(len(data) + 1):
+            out.write_bytes(data[:cut])
+            written = [(r, end) for r, end in zip(records, ends) if end <= cut]
+            done = [r["run_id"] for r, _ in written if "t" not in r]
+            open_events = [r["run_id"] for r, _ in written if r["run_id"] not in done]
+            runs, unfinished, intact = cli._read_log(out)
+            assert list(runs) == done and runs == {run_id: uncut[run_id] for run_id in done}
+            assert unfinished == (open_events[-1] if open_events else None)
+            assert intact == max((end for r, end in written if "t" not in r), default=0)
+
+        def without_wall_clock(log):
+            return [{k: v for k, v in r.items() if k != "wall_clock_s"} for r in log]
+
+        for cut in range(0, len(data), len(data) // 5):
+            out.write_bytes(data[:cut])
+            assert main(argv) == 4
+            assert without_wall_clock(read_jsonl(out)) == without_wall_clock(records)
 
     def test_jobs_start_no_more_workers_than_runs_left(self, workspace, tmp_path, capsys,
                                                         monkeypatch):
@@ -656,17 +703,24 @@ class TestRun:
 
 RUN_RECORD = {"run_id": "toy-queue-b2-iid-s0", "dataset": "toy", "method": "queue",
               "buffer_size": 2, "ordering": "iid", "seed": 0}
+# two more runs of the same sweep, for logs that continue after RUN_RECORD's
+S1, S2 = ({**RUN_RECORD, "run_id": f"toy-queue-b2-iid-s{s}", "seed": s} for s in (1, 2))
 # what a terminal record and its baseline say the run was trained on
 INPUTS = {"inputs_crc32": ["0badf00d", "0badf00d"], "normalize": True}
+DONE = {**INPUTS, "wall_clock_s": 0.1, "memory_cost": 4}
 
 
 def event(run_id, meta, t, accuracy):
     return json.dumps({"run_id": run_id, **meta, "t": t, "accuracy": accuracy})
 
 
+def events(record, *times):
+    """A run's event records at the given times, as a test_malformed_record line tuple."""
+    return tuple({**record, "t": t, "accuracy": 0.5} for t in times)
+
+
 def terminal(run_id, meta, cost=4):
-    return json.dumps({"run_id": run_id, **meta, **INPUTS,
-                       "wall_clock_s": 0.1, "memory_cost": cost})
+    return json.dumps({"run_id": run_id, **meta, **DONE, "memory_cost": cost})
 
 
 def craft_results(path, rows, unfinished=()):
@@ -727,11 +781,14 @@ class TestReport:
         row = next(r for r in table if r["buffer_size"] == "2")
         assert row["omega"] == "0.500" and row["omega_std"] == "0.100"
 
-    def test_duplicate_events_last_wins(self, tmp_path):
+    def test_duplicate_events_are_refused(self, tmp_path, capsys):
+        """A run's events lie on one event grid: a repeated t is not a later
+        record that wins, but a log `run` never writes."""
         rows = [("queue", 2, 0, [(30, 0.2), (60, 0.2), (30, 0.8), (60, 0.8)])]
-        _, out = self.run_report(tmp_path, rows)
-        row = next(r for r in self.read_table(out) if r["buffer_size"] == "2")
-        assert row["omega"] == "0.800"
+        code, out = self.run_report(tmp_path, rows)
+        assert code == 3
+        assert "not a run record" in capsys.readouterr().err
+        assert not (out / "omega_table.csv").exists()
 
     def test_report_writes_one_table(self, tmp_path):
         rows = [("queue", 2, 0, [(30, 1.0)]), ("queue", 4, 0, [(30, 1.0)])]
@@ -754,7 +811,7 @@ class TestReport:
                 ("queue", 4, 0, [(30, 0.5)])]
         code, out = self.run_report(tmp_path, rows, unfinished={("queue", 4, 0)})
         assert code == 0
-        assert "skipped 1 unfinished run" in capsys.readouterr().err
+        assert capsys.readouterr().err == "skipped the unfinished run toy-queue-b4-iid-s0\n"
         table = self.read_table(out)
         assert [r["buffer_size"] for r in table] == ["2", "mu_total"]
         assert table[1]["omega"] == "1.000"
@@ -829,11 +886,20 @@ class TestReport:
         ({**RUN_RECORD, "t": 60, "accuracy": 0.5},
          {**RUN_RECORD, "wall_clock_s": 0.1, "memory_cost": 4, "error": "diverged"}),
         {**RUN_RECORD, "error": 7},
+        (*events(S1, 30, 60), {**S1, "error": "diverged"}),
+        (*events(S1, 30), *events(S2, 30, 60), {**S2, **DONE}),
+        # a cut execution (eval_every 1), then the run executed again (eval_every 20)
+        (*events(S1, *range(1, 20), 20, 40, 60), {**S1, **DONE}),
+        (*events(S1, 30, 60, 30, 60), {**S1, **DONE}),
+        (*events(S1, 30), *events(S2, 30)),
+        (*events(S1, 1, 10 ** 15), {**S1, **DONE}),
     ], ids=["no_run_fields", "not_an_object", "event_without_accuracy", "accuracy_null",
             "accuracy_string", "accuracy_nan", "accuracy_above_one", "t_string", "t_zero",
             "t_fraction", "buffer_size_string", "seed_bool", "method_number",
             "config_number", "terminal_without_events", "neither_event_nor_terminal",
-            "event_and_terminal", "failed_and_finished", "error_not_a_string"])
+            "event_and_terminal", "failed_and_finished", "error_not_a_string",
+            "events_then_failed", "leftover_block", "two_executions_as_one", "duplicate_t",
+            "two_unfinished_runs", "t_far_past_the_grid"])
     def test_malformed_record(self, tmp_path, capsys, line):
         code, out = self.run_report(tmp_path, [("queue", 2, 0, [(30, 1.0)])])
         assert code == 0
