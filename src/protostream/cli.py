@@ -37,8 +37,8 @@ LARGE_LABEL_SET_MIN = 100
 RUN_FIELDS = ("dataset", "method", "buffer_size", "ordering", "seed")
 RECORD_KEYS = frozenset(("run_id",) + RUN_FIELDS)
 SWEEP_KEYS = ("dataset", "features", "manifest", "methods", "orderings", "seeds",
-              "normalize", "buffer_sizes", "eval_every", "mlp")
-BASELINE_KEYS = ("dataset", "epochs", "normalize", "mlp")
+              "buffer_sizes", "eval_every", "mlp")
+BASELINE_KEYS = ("dataset", "epochs", "mlp")
 
 _dataset_cache: dict[tuple, Dataset] = {}
 
@@ -129,23 +129,17 @@ def _build(cls, payload, what):
         raise UsageError(f"malformed {what}: {exc}") from exc
 
 
-def _convert(convert, value, key):
-    """convert(value); a malformed value is a usage error naming its key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed {key!r} value {value!r}: {exc}") from exc
+def _typed(value, kind, key):
+    """value, which must be a JSON array (kind list) or object (kind dict);
+    anything else is a usage error naming its key."""
+    if not isinstance(value, kind):
+        raise UsageError(f"{key} must be a JSON {'array' if kind is list else 'object'}, "
+                         f"got {value!r}")
+    return value
 
 
 def _ints(values, key):
-    return [require_int(v, f"{key} entry") for v in _convert(list, values, key)]
-
-
-def _flag(payload, key, default):
-    value = payload.get(key, default)
-    if not isinstance(value, bool):
-        raise UsageError(f"{key} must be true or false, got {value!r}")
-    return value
+    return [require_int(v, f"{key} entry") for v in _typed(values, list, key)]
 
 
 def _is_accuracy(value) -> bool:
@@ -154,14 +148,21 @@ def _is_accuracy(value) -> bool:
     return type(value) in (int, float) and 0 <= value <= 1
 
 
+def _on_raw_rows(record) -> bool:
+    """Whether a baseline file or terminal record says it was measured on
+    rows that were not L2-normalized, as older versions could
+    (``"normalize": false``)."""
+    return record.get("normalize", True) is not True
+
+
 def _read_baseline(path) -> dict:
     """A baseline file's fields, with its dataset name a string and its
-    offline accuracy a float in [0, 1]; anything else in their place is a
-    data error."""
+    offline accuracy a float in (0, 1], as omega divides by it; anything
+    else in their place is a data error."""
     baseline = _load_json(path, "baseline")
     if not (isinstance(baseline, dict) and isinstance(baseline.get("dataset"), str)
-            and _is_accuracy(baseline.get("accuracy"))):
-        raise DataFormatError(f"{path}: baseline needs a dataset name and an accuracy in [0, 1]")
+            and _is_accuracy(baseline.get("accuracy")) and baseline["accuracy"] > 0):
+        raise DataFormatError(f"{path}: baseline needs a dataset name and an accuracy in (0, 1]")
     return {**baseline, "accuracy": float(baseline["accuracy"])}
 
 
@@ -170,16 +171,15 @@ def _inputs_crc32(features, manifest) -> list[str]:
     return [f"{zlib.crc32(Path(p).read_bytes()):08x}" for p in (features, manifest)]
 
 
-def _load_dataset(features_path, manifest_path, normalize, name=None) -> Dataset:
+def _load_dataset(features_path, manifest_path, name=None) -> Dataset:
     from .data import load_feature_matrix, load_manifest
-    key = (str(features_path), str(manifest_path), bool(normalize), name)
+    key = (str(features_path), str(manifest_path), name)
     if key not in _dataset_cache:
         for path, what in ((features_path, "features"), (manifest_path, "manifest")):
             if not Path(path).exists():
                 raise UsageError(f"{what} file not found: {path}")
         matrix = load_feature_matrix(features_path)
-        _dataset_cache[key] = load_manifest(manifest_path, matrix,
-                                            name=name, normalize=normalize)
+        _dataset_cache[key] = load_manifest(manifest_path, matrix, name=name)
     return _dataset_cache[key]
 
 
@@ -206,17 +206,15 @@ def cmd_baseline(args) -> int:
     from .mlp import MLPClassifier, MLPConfig, fit_offline
     payload = _check_keys(_load_json(args.config, "baseline config"), BASELINE_KEYS,
                           "baseline config")
-    config = _build(MLPConfig, _convert(dict, payload.get("mlp", {}), "mlp"), "mlp config")
+    config = _build(MLPConfig, payload.get("mlp", {}), "mlp config")
     epochs = require_int(payload.get("epochs", 20), "epochs")
-    normalize = _flag(payload, "normalize", True)
     name = str(payload["dataset"]) if "dataset" in payload else None
-    dataset = _load_dataset(args.features, args.manifest, normalize, name)
+    dataset = _load_dataset(args.features, args.manifest, name)
     model = MLPClassifier(config, dataset.dim, dataset.num_classes)
     _, accuracy = fit_offline(model, dataset, epochs)
     # `run` scores a sweep against this baseline only on the same inputs
     record = {"dataset": dataset.name, "seed": config.seed, "accuracy": accuracy,
-              "epochs": epochs, "normalize": normalize,
-              "inputs_crc32": _inputs_crc32(args.features, args.manifest)}
+              "epochs": epochs, "inputs_crc32": _inputs_crc32(args.features, args.manifest)}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(record, sort_keys=True) + "\n")
@@ -244,12 +242,11 @@ def cmd_run(args) -> int:
             f"no baseline for dataset {dataset_name!r} in {args.baseline} "
             f"(found {baseline['dataset']!r}); run 'protostream baseline' first")
 
-    methods = _convert(list, sweep["methods"], "methods")
-    orderings = _convert(list, sweep["orderings"], "orderings")
+    methods = _typed(sweep["methods"], list, "methods")
+    orderings = _typed(sweep["orderings"], list, "orderings")
     seeds = _ints(sweep["seeds"], "seeds")
-    normalize = _flag(sweep, "normalize", True)
     features, manifest = str(sweep["features"]), str(sweep["manifest"])
-    dataset = _load_dataset(features, manifest, normalize, dataset_name)
+    dataset = _load_dataset(features, manifest, dataset_name)
     # the inputs' bytes enter the sweep's config hash, not just their paths
     inputs_crc32 = _inputs_crc32(features, manifest)
 
@@ -258,15 +255,15 @@ def cmd_run(args) -> int:
         sizes = (LARGE_LABEL_SET_SIZES if dataset.num_classes >= LARGE_LABEL_SET_MIN
                  else SMALL_LABEL_SET_SIZES)
     sizes = _ints(sizes, "buffer_sizes")
-    mlp_payload = _convert(dict, sweep.get("mlp", {}), "mlp")
+    mlp_payload = _typed(sweep.get("mlp", {}), dict, "mlp")
     if "seed" in mlp_payload:
         raise UsageError("sweep mlp takes no 'seed': each run's learner seed is its own, "
                          "from 'seeds'")
 
     # the settings every run of the sweep shares; the run id fixes the rest
     common = {"dataset": dataset_name, "features": features, "manifest": manifest,
-              "inputs_crc32": inputs_crc32, "normalize": normalize,
-              "eval_every": sweep.get("eval_every", 1), "mlp": mlp_payload}
+              "inputs_crc32": inputs_crc32, "eval_every": sweep.get("eval_every", 1),
+              "mlp": mlp_payload}
     config_hash = _config_hash(common)
     # every run is configured, so checked, before the first one executes
     tasks = {}
@@ -293,10 +290,9 @@ def cmd_run(args) -> int:
             raise UsageError(f"{out} holds a finished run {run_id} with another "
                              f"configuration; write this sweep to a new --out")
     # after the log's check: a log of other inputs needs a new --out whatever the baseline
-    if [baseline.get("inputs_crc32"), baseline.get("normalize")] != [inputs_crc32, normalize]:
-        raise UsageError(
-            f"baseline {args.baseline} was not trained on these features and manifest "
-            f"with normalize {normalize}; run 'protostream baseline' again")
+    if baseline.get("inputs_crc32") != inputs_crc32 or _on_raw_rows(baseline):
+        raise UsageError(f"baseline {args.baseline} was not trained on these features and "
+                         f"manifest, L2-normalized; run 'protostream baseline' again")
     out.parent.mkdir(parents=True, exist_ok=True)
     if out.exists() and out.stat().st_size > intact:
         cut = f"the unfinished run {unfinished}" if unfinished else "a torn last line"
@@ -435,7 +431,6 @@ def _run_config(task) -> RunConfig:
         mlp=_build(MLPConfig, {**task["mlp"], "seed": task["seed"]}, "mlp config"),
         eval_every=task["eval_every"],
         buffer_seed=task["seed"],
-        dataset_name=task["dataset"],
     )
 
 
@@ -446,10 +441,9 @@ def _execute_task(task) -> tuple[str, str | None]:
     message as ``error``. A terminal record names the inputs, as ``report``
     matches them against the baseline's."""
     from .protocol import execute_run
-    dataset = _load_dataset(task["features"], task["manifest"],
-                            task["normalize"], task["dataset"])
+    dataset = _load_dataset(task["features"], task["manifest"], task["dataset"])
     identity = {k: task[k] for k in ("run_id",) + RUN_FIELDS}
-    terminal = {**identity, **{k: task[k] for k in ("config", "inputs_crc32", "normalize")}}
+    terminal = {**identity, **{k: task[k] for k in ("config", "inputs_crc32")}}
     try:
         result = execute_run(dataset, _run_config(task))
     except NumericError as exc:
@@ -481,12 +475,14 @@ def cmd_report(args) -> int:
         raise DataFormatError(f"{results_path}: no run has finished")
 
     # omega per finished run against the baseline, by (dataset, ordering, method, size)
-    bound = ("dataset", "inputs_crc32", "normalize")
+    bound = ("dataset", "inputs_crc32")
     omegas: dict[tuple, list[float]] = {}
     for run_id, (meta, times, values) in finished.items():
-        if any(meta.get(k) is None or meta.get(k) != baseline.get(k) for k in bound):
+        if (any(meta.get(k) is None or meta.get(k) != baseline.get(k) for k in bound)
+                or _on_raw_rows(meta) or _on_raw_rows(baseline)):
             raise DataFormatError(f"run {run_id} and baseline {args.baseline} differ in "
-                                  f"dataset, inputs_crc32 or normalize")
+                                  f"dataset or inputs_crc32, or one was measured on rows "
+                                  f"that were not L2-normalized")
         offline = AccuracyCurve(times, np.full(len(times), baseline["accuracy"]))
         score = omega_score(AccuracyCurve(times, values), offline,
                             buffer_size=meta["buffer_size"])

@@ -217,12 +217,12 @@ def write_dataset(dataset: Dataset, features_path, manifest_path) -> None:
                                    for i, row in enumerate(rows)))
 
 
-def load_manifest(path, features, name: str | None = None, normalize: bool = True) -> Dataset:
+def load_manifest(path, features, name: str | None = None) -> Dataset:
     """Assemble a Dataset from a manifest CSV and its feature matrix.
 
     Integer class labels must densely cover [0, K); other label values are
     mapped to dense integers in sorted order. Every test class must also
-    appear in train. Rows are L2-normalized unless ``normalize`` is False.
+    appear in train. Rows are L2-normalized.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -266,8 +266,7 @@ def load_manifest(path, features, name: str | None = None, normalize: bool = Tru
         ids.append((idx, label, instance, frame, split == "train"))
 
     rows, labels, instances, frames, in_train = np.array(ids, dtype=np.int64).T
-    norm = l2_normalize if normalize else np.asarray
-    x = np.stack([norm(features[i]) for i in rows])
+    x = np.stack([l2_normalize(features[i]) for i in rows])
     orphans = sorted(set(labels[in_train == 0].tolist()) - set(labels[in_train == 1].tolist()))
     if orphans:
         raise DataFormatError(f"{path}: test classes {orphans} never appear in train")

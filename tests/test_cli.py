@@ -155,9 +155,9 @@ class TestBaseline:
     @pytest.mark.parametrize("key, value, named", [
         ("epochs", "many", "epochs"),
         ("epochs", 2.5, "epochs"),
-        ("normalize", "false", "normalize"),
         ("mlp", {**MLP, "batch_size": 2.5}, "batch_size"),
-    ], ids=["epochs_word", "epochs_fraction", "normalize_string", "batch_size_fraction"])
+        ("mlp", [["layer_sizes", [8]]], "mlp config must be a JSON object"),
+    ], ids=["epochs_word", "epochs_fraction", "batch_size_fraction", "mlp_pairs"])
     def test_malformed_config_value(self, workspace, tmp_path, capsys, key, value, named):
         payload = {"dataset": "toy", "epochs": 1, "mlp": MLP, key: value}
         assert self.baseline_exit(workspace, tmp_path, payload) == 2
@@ -559,8 +559,9 @@ class TestRun:
         assert costs == [1, 1]
         assert "2 worker processes, one BLAS thread each" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("payload", [[1, 2], {"dataset": "toy", "accuracy": float("nan")}],
-                             ids=["not_an_object", "accuracy_nan"])
+    @pytest.mark.parametrize("payload", [[1, 2], {"dataset": "toy", "accuracy": float("nan")},
+                                         {"dataset": "toy", "accuracy": 0}],
+                             ids=["not_an_object", "accuracy_nan", "accuracy_zero"])
     def test_malformed_baseline(self, workspace, tmp_path, capsys, payload):
         bad = write_json(tmp_path / "base.json", payload)
         cfg = write_json(tmp_path / "sweep.json", sweep_config(workspace))
@@ -568,6 +569,15 @@ class TestRun:
                      "--out", str(tmp_path / "r.jsonl")]) == 3
         assert "baseline needs a dataset name and an accuracy" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
+
+    def test_older_baseline_of_normalized_rows(self, workspace, tmp_path):
+        """A baseline file an older version wrote with "normalize": true
+        was measured on the rows a sweep trains on, and still scores it."""
+        older = write_json(tmp_path / "base.json",
+                           {**json.loads(workspace["baseline"].read_text()), "normalize": True})
+        cfg = write_json(tmp_path / "sweep.json", sweep_config(workspace))
+        assert main(["run", "--config", str(cfg), "--baseline", str(older),
+                     "--out", str(tmp_path / "r.jsonl")]) == 0
 
     def test_wrong_baseline_dataset(self, workspace, tmp_path, capsys):
         bad = write_json(tmp_path / "base.json",
@@ -582,8 +592,9 @@ class TestRun:
     @pytest.mark.parametrize("case", ["rewritten_inputs", "older_baseline", "other_normalize"])
     def test_baseline_is_bound_to_its_inputs(self, tmp_path, capsys, case):
         """A baseline scores a sweep only on the feature and manifest bytes
-        and the normalization it was trained on; one that does not record
-        them, from an older version, must be trained again."""
+        it was trained on, L2-normalized; one that does not record the
+        bytes, or that an older version trained with "normalize": false,
+        must be trained again."""
         synth = write_json(tmp_path / "synth.json", SYNTH)
         data, baseline = tmp_path / "data", tmp_path / "baseline.json"
         inputs = {"features": data / "features.feat", "manifest": data / "manifest.csv"}
@@ -592,17 +603,16 @@ class TestRun:
         assert main(["baseline", "--features", str(inputs["features"]),
                      "--manifest", str(inputs["manifest"]), "--config", str(base_cfg),
                      "--out", str(baseline)]) == 0
-        overrides = {}
+        record = json.loads(baseline.read_text())
         if case == "rewritten_inputs":
             synth7 = write_json(tmp_path / "synth7.json", {**SYNTH, "seed": 7})
             assert main(["synth", "--config", str(synth7), "--out", str(data)]) == 0
         elif case == "older_baseline":
-            record = json.loads(baseline.read_text())
-            del record["inputs_crc32"], record["normalize"]
+            del record["inputs_crc32"]
             write_json(baseline, record)
         else:
-            overrides["normalize"] = False
-        cfg = write_json(tmp_path / "sweep.json", sweep_config(inputs, **overrides))
+            write_json(baseline, {**record, "normalize": False})
+        cfg = write_json(tmp_path / "sweep.json", sweep_config(inputs))
         out = tmp_path / "sweeps" / "results.jsonl"
         assert main(["run", "--config", str(cfg), "--baseline", str(baseline),
                      "--out", str(out)]) == 2
@@ -665,7 +675,6 @@ class TestRun:
         ("eval_every", "often", "eval_every"),
         ("mlp", {**SWEEP_MLP, "layer_sizes": ["a"]}, "mlp config"),
         ("features", 5, "features"),
-        ("normalize", "false", "normalize"),
         ("buffer_sizes", [2.7], "buffer_sizes"),
         ("buffer_sizes", [True], "buffer_sizes"),
         ("seeds", [True], "seeds"),
@@ -679,11 +688,18 @@ class TestRun:
         ("mlp", MLP, "sweep mlp takes no 'seed'"),
         ("seeds", [0, -1], "seed"),
         ("buffer_sizes", [2, 0], "queue needs capacity >= 1, got buffer_size 0"),
-    ], ids=["seeds", "eval_every", "layer_sizes", "features", "normalize_string",
+        ("methods", "exstream", "methods must be a JSON array"),
+        ("orderings", "iid", "orderings must be a JSON array"),
+        ("seeds", 0, "seeds must be a JSON array"),
+        ("buffer_sizes", {"2": 8}, "buffer_sizes must be a JSON array"),
+        ("mlp", [["layer_sizes", [8]]], "mlp must be a JSON object"),
+    ], ids=["seeds", "eval_every", "layer_sizes", "features",
             "buffer_size_fraction", "buffer_size_bool", "seed_bool",
             "eval_every_fraction", "batch_size_fraction", "layer_size_fraction",
             "learning_rate_nan", "learning_rate_string", "weight_decay_inf",
-            "dropout_keep_bool", "mlp_seed", "seed_negative", "buffer_size_zero"])
+            "dropout_keep_bool", "mlp_seed", "seed_negative", "buffer_size_zero",
+            "methods_string", "orderings_string", "seeds_number", "buffer_sizes_object",
+            "mlp_pairs"])
     def test_malformed_sweep_value(self, workspace, tmp_path, capsys, key, value, named):
         assert self.run_exit(workspace, tmp_path, **{key: value}) == 2
         assert named in capsys.readouterr().err
@@ -706,7 +722,7 @@ RUN_RECORD = {"run_id": "toy-queue-b2-iid-s0", "dataset": "toy", "method": "queu
 # two more runs of the same sweep, for logs that continue after RUN_RECORD's
 S1, S2 = ({**RUN_RECORD, "run_id": f"toy-queue-b2-iid-s{s}", "seed": s} for s in (1, 2))
 # what a terminal record and its baseline say the run was trained on
-INPUTS = {"inputs_crc32": ["0badf00d", "0badf00d"], "normalize": True}
+INPUTS = {"inputs_crc32": ["0badf00d", "0badf00d"]}
 DONE = {**INPUTS, "wall_clock_s": 0.1, "memory_cost": 4}
 
 
@@ -831,13 +847,12 @@ class TestReport:
                          {"dataset": "toy", "accuracy": float("nan")},
                          {"dataset": "toy", "accuracy": float("inf")},
                          {"dataset": "toy", "accuracy": 2.0},
-                         {"dataset": "toy", "accuracy": -0.1}):
+                         {"dataset": "toy", "accuracy": -0.1},
+                         # omega divides by it
+                         {"dataset": "toy", "accuracy": 0, **INPUTS}):
             code, out = self.run_report(tmp_path, rows, baseline=baseline)
             assert code == 3, baseline
             assert not (out / "omega_table.csv").exists()
-        # a well-formed accuracy of 0 leaves omega undefined: a numeric error
-        assert self.run_report(tmp_path, rows, {"dataset": "toy", "accuracy": 0,
-                                                **INPUTS})[0] == 4
 
     def test_dataset_mismatch(self, tmp_path):
         rows = [("queue", 2, 0, [(30, 1.0)])]
@@ -848,13 +863,17 @@ class TestReport:
     @pytest.mark.parametrize("record_inputs, baseline_inputs", [
         (INPUTS, {**INPUTS, "inputs_crc32": ["0badf00d", "00000000"]}),
         (INPUTS, {**INPUTS, "normalize": False}),
+        ({**INPUTS, "normalize": False}, INPUTS),
         ({}, INPUTS),
         ({}, {}),
-    ], ids=["inputs_crc32", "normalize", "older_record", "older_record_and_baseline"])
+    ], ids=["inputs_crc32", "normalize", "raw_record", "older_record",
+            "older_record_and_baseline"])
     def test_baseline_of_other_inputs(self, tmp_path, capsys, record_inputs, baseline_inputs):
-        """A run is scored only against a baseline of the same dataset name,
-        input bytes and normalization; a terminal record written by an
-        earlier version names no inputs and is scored against no baseline."""
+        """A run is scored only against a baseline of the same dataset name
+        and input bytes, both measured on L2-normalized rows: a baseline
+        file or terminal record that an older version wrote with
+        "normalize": false is scored against nothing, and so is a terminal
+        record of a version that named no inputs."""
         results = tmp_path / "results.jsonl"
         results.write_text(event(RUN_RECORD["run_id"], RUN_RECORD, 30, 1.0) + "\n" + json.dumps(
             {**RUN_RECORD, **record_inputs, "wall_clock_s": 0.1, "memory_cost": 4}) + "\n")
@@ -862,7 +881,20 @@ class TestReport:
                           {"dataset": "toy", "accuracy": 1.0, **baseline_inputs})
         assert main(["report", "--results", str(results), "--baseline", str(base),
                      "--out", str(tmp_path / "report")]) == 3
-        assert "differ in dataset, inputs_crc32 or normalize" in capsys.readouterr().err
+        assert "differ in dataset or inputs_crc32" in capsys.readouterr().err
+
+    def test_older_files_of_normalized_rows_score(self, tmp_path):
+        """A log and baseline an older version wrote with "normalize": true
+        were measured on L2-normalized rows, and still score."""
+        older = {**INPUTS, "normalize": True}
+        results = tmp_path / "results.jsonl"
+        results.write_text(event(RUN_RECORD["run_id"], RUN_RECORD, 30, 1.0) + "\n" + json.dumps(
+            {**RUN_RECORD, **older, "wall_clock_s": 0.1, "memory_cost": 4}) + "\n")
+        base = write_json(tmp_path / "base.json", {"dataset": "toy", "accuracy": 1.0, **older})
+        out = tmp_path / "report"
+        assert main(["report", "--results", str(results), "--baseline", str(base),
+                     "--out", str(out)]) == 0
+        assert self.read_table(out)[0]["omega"] == "1.000"
 
     @pytest.mark.parametrize("line", [
         {"run_id": "x", "t": 1, "accuracy": 0.5},
@@ -942,6 +974,24 @@ class TestTopLevel:
             main([command, *argv, "--seed", "7", "--out", str(out)])
         assert info.value.code == 2
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["baseline", "run"])
+    def test_normalize_is_no_setting(self, workspace, tmp_path, capsys, command):
+        """Rows are always L2-normalized: a config that names normalize
+        names an unknown key."""
+        argv = {
+            "baseline": ["--features", str(workspace["features"]),
+                         "--manifest", str(workspace["manifest"]),
+                         "--config", str(write_json(tmp_path / "b.json", {
+                             "dataset": "toy", "epochs": 1, "mlp": MLP, "normalize": True}))],
+            "run": ["--config", str(write_json(tmp_path / "w.json",
+                                               sweep_config(workspace, normalize=True))),
+                    "--baseline", str(workspace["baseline"])],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert "config keys: ['normalize']" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "baseline", "run", "report"])

@@ -237,24 +237,7 @@ class TestGradients:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 5))
         y = rng.integers(3, size=8)
-        _, grads, _ = model.loss_and_gradients(x, y)
-        eps = 1e-6
-        worst = 0.0
-        for name, param in model.named_parameters():
-            g = grads[name]
-            flat = param.reshape(-1)
-            for idx in range(flat.size):
-                keep = flat[idx]
-                flat[idx] = keep + eps
-                up, _, _ = model.loss_and_gradients(x, y)
-                flat[idx] = keep - eps
-                dn, _, _ = model.loss_and_gradients(x, y)
-                flat[idx] = keep
-                num = (up - dn) / (2 * eps)
-                ana = g.reshape(-1)[idx]
-                rel = abs(num - ana) / max(1.0, abs(num) + abs(ana))
-                worst = max(worst, rel)
-        assert worst < 1e-5
+        assert central_difference_error(model, x, y) < 1e-5
 
     @pytest.mark.parametrize("layer_sizes", [(4,), (4, 3)],
                              ids=["one_hidden", "two_hidden"])
